@@ -36,6 +36,11 @@
      track distinct composite subtrees, not subscribing rules; growth
      beyond 1.5x the baseline (over a small floor) means composite
      join state stopped being shared.
+   - the clock-advance work counter ([rules_advanced_per_advance]):
+     deterministic for a fixed ruleset, and an advance must touch only
+     the rules that observe time, not the rule count — growth beyond
+     1.5x the baseline (over a floor of one rule) means advances went
+     back to visiting every rule.
 
    Workload-shape fields (rules/events/nodes/window/...) must match
    exactly: comparing timings of different workloads is meaningless, so
@@ -52,6 +57,7 @@ let floor_pairs = 1000.0
 let floor_candidates = 4.0
 let floor_alpha_evals = 4.0
 let floor_beta_joins = 8.0
+let floor_advanced = 1.0
 
 let shape_keys =
   [
@@ -81,6 +87,7 @@ let is_prune_gate key = key = "fingerprint_pruned" || key = "arity_pruned"
 let is_candidates_gate key = key = "candidates_per_publish"
 let is_alpha_gate key = key = "alpha_evals_per_event_shared"
 let is_beta_gate key = key = "beta_joins_per_event_shared"
+let is_advance_gate key = key = "rules_advanced_per_advance"
 
 let floor_of key = if contains key "us_per_event" then floor_us else floor_ms
 
@@ -146,6 +153,12 @@ and field path key bv cv =
     | Some b, Some c when c > tol_count *. Float.max b floor_beta_joins ->
         fail
           "%s: %.1f join pairs probed per event vs baseline %.1f (composite join sharing degraded?)"
+          path c b
+    | _ -> ())
+  else if is_advance_gate key then (
+    match (num bv, num cv) with
+    | Some b, Some c when c > tol_count *. Float.max b floor_advanced ->
+        fail "%s: %.1f rules advanced per advance vs baseline %.1f (advance scaling with rules?)"
           path c b
     | _ -> ())
   else walk path bv cv

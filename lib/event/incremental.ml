@@ -604,6 +604,40 @@ and step ~index node input ~now =
   Istore.add_list node.store fresh;
   fresh
 
+(* ---- time sensitivity ----------------------------------------------- *)
+
+(* Whether an input that no atom can match — a bare clock advance, or an
+   event of a label the query never names — can still change later
+   answers.  Mirrors [build]'s retention bounds.  Such an input resolves
+   absence deadlines and prunes stored join state, nothing else.
+   Pruning is harmless when a span check later rejects every tuple the
+   pruned instance could still have joined: with inputs in time order,
+   an instance pruned at [now] to window [w] only combines into tuples
+   spanning more than [w].  That check is the enclosing [Within], or
+   [Times]' own span when it combines at least two instances, and only
+   if no accumulator absorbs the over-long tuple first.  Pruning to an
+   engine horizon narrower than the window (or the only bound) is
+   semantics-bearing. *)
+let time_sensitive ?horizon q =
+  let narrower span = match horizon with Some h -> h < span | None -> false in
+  (* [ctx]: the window joins below are pruned to; [guarded]: that
+     window's span check sees every tuple built from them *)
+  let rec go ~ctx ~guarded (q : Event_query.t) =
+    match q with
+    | Event_query.Atomic _ -> false
+    | Event_query.Absent _ -> true
+    | Event_query.And qs | Event_query.Seq qs ->
+        (match ctx with None -> Option.is_some horizon | Some w -> narrower w || not guarded)
+        || List.exists (go ~ctx ~guarded) qs
+    | Event_query.Or qs -> List.exists (go ~ctx ~guarded) qs
+    | Event_query.Within (q, w) -> go ~ctx:(Some w) ~guarded:true q
+    | Event_query.Times (n, q, s) -> narrower s || go ~ctx:(Some s) ~guarded:(n >= 2) q
+    | Event_query.Agg { Event_query.over = q; _ } | Event_query.Rises { Event_query.r_over = q; _ }
+      ->
+        go ~ctx ~guarded:false q
+  in
+  go ~ctx:None ~guarded:true q
+
 (* ---- engine --------------------------------------------------------- *)
 
 type t = {
@@ -612,6 +646,7 @@ type t = {
   consume : bool;
   selection : selection;
   index : bool;
+  observes_time : bool;
   mutable clock : Clock.time;
   mutable seen : int;
   mutable reported : int;
@@ -631,6 +666,7 @@ let create ?(consume = false) ?(selection = Each) ?horizon ?(index = true) ?shar
           consume;
           selection;
           index;
+          observes_time = time_sensitive ?horizon q;
           clock = Clock.origin;
           seen = 0;
           reported = 0;
@@ -655,6 +691,7 @@ let create_sub ?horizon ?(index = true) ?share ~ctx q =
     consume = false;
     selection = Each;
     index;
+    observes_time = time_sensitive ?horizon q;
     clock = Clock.origin;
     seen = 0;
     reported = 0;
@@ -706,26 +743,30 @@ let select_and_consume t detections =
           if clashes then kept
           else begin
             purge_ids t.root d.Instance.ids;
-            kept @ [ d ]
+            d :: kept
           end)
         [] picked
+      |> List.rev
   in
   t.reported <- t.reported + List.length picked;
   picked
 
+(* The root is nobody's child, so nothing would ever read its store:
+   [fresh_of], not [step], keeps it empty. *)
 let feed t e =
   t.seen <- t.seen + 1;
   if Event.time e > t.clock then t.clock <- Event.time e;
-  let detections = step ~index:t.index t.root (Ev e) ~now:t.clock in
+  let detections = fresh_of ~index:t.index t.root (Ev e) ~now:t.clock in
   select_and_consume t detections
 
 let advance_to t time =
   if time > t.clock then t.clock <- time;
-  let detections = step ~index:t.index t.root (Now time) ~now:t.clock in
+  let detections = fresh_of ~index:t.index t.root (Now time) ~now:t.clock in
   select_and_consume t detections
 
 let query t = t.q
 let now t = t.clock
+let observes_time t = t.observes_time
 
 let rec count_node node =
   let own = Istore.length node.store in

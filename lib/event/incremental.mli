@@ -128,10 +128,22 @@ val advance_to : t -> Clock.time -> Instance.t list
 val query : t -> Event_query.t
 val now : t -> Clock.time
 
+val observes_time : t -> bool
+(** Whether an input no atom can match — a bare {!advance_to}, or an
+    event of a label the query never names — can change later answers.
+    True for absence timers, for join state pruned to a [horizon]
+    narrower than its window (or with no window at all), and for
+    windowed joins read by an accumulator before the window's span
+    check.  Every other pruning is invisible for inputs in time order,
+    because the window rejects any tuple a pruned instance could still
+    have joined.  A dispatcher may skip such inputs only when this is
+    false. *)
+
 val live_instances : t -> int
 (** Number of stored partial matches across all operators (plus pending
     absences and accumulation buffer entries) — the memory proxy
-    reported by E4. *)
+    reported by E4.  The root operator stores nothing: it has no parent
+    to read its detections back. *)
 
 val events_seen : t -> int
 val detections_reported : t -> int

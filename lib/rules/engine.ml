@@ -11,21 +11,13 @@ type compiled = {
   labels : string list option;
       (** event labels the rule's query can react to; [None] = any
           (some atomic sub-query has no label constraint) *)
-  needs_clock : bool;  (** the query contains absence operators *)
-}
-
-type index_stats = {
-  mutable dispatch_lookups : int;
-  mutable rules_fed : int;
-  mutable rules_skipped : int;
-  mutable clock_advances : int;
 }
 
 type cells = {
   c_lookups : Obs.Metrics.Counter.t;
   c_fed : Obs.Metrics.Counter.t;
   c_skipped : Obs.Metrics.Counter.t;
-  c_clock : Obs.Metrics.Counter.t;
+  c_advanced : Obs.Metrics.Counter.t;
   c_seen : Obs.Metrics.Counter.t;
 }
 
@@ -35,10 +27,10 @@ type t = {
   by_label : (string, int list) Hashtbl.t;
       (** event label -> indices of rules that can react, ascending *)
   wildcard : int list;  (** rules reacting to any label ([labels = None]) *)
-  clocked : int list;  (** rules with absence timers to advance when skipped *)
-  always_bucket : int list;
-      (** wildcard + clocked merged once at build time: the rules every
-          batch visits under label dispatch *)
+  clocked : int list;
+      (** rules that see every input, ascending: those whose engine
+          {!Incremental.observes_time} (absence timers, horizon-pruned
+          or accumulated join state) *)
   sub : int Sub_index.t option;
       (** every rule atom registered by (label, payload fingerprint);
           [Some] iff [index] and the sub-index is enabled — dispatch then
@@ -166,7 +158,6 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
                  engine;
                  stats = Eca.fresh_stats ();
                  labels = rule_labels rule;
-                 needs_clock = Event_query.has_timers rule.Eca.event;
                }
               :: acc))
       (Ok []) (Ruleset.scoped_rules root)
@@ -203,7 +194,7 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
               in
               Hashtbl.replace by_label l (i :: bucket))
             ls);
-      if cr.needs_clock then clocked := i :: !clocked)
+      if Incremental.observes_time cr.engine then clocked := i :: !clocked)
     compiled;
   Hashtbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) by_label;
   let proc_conds =
@@ -217,9 +208,9 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
   let all_crs = Array.to_list compiled in
   let remote_deps = deps_of all_crs in
   let clocked_remote_deps =
-    match List.filter (fun cr -> cr.needs_clock) all_crs with
+    match List.filter (fun cr -> Event_query.has_timers cr.rule.Eca.event) all_crs with
     | [] -> []  (* no timer can fire, so advancing needs no prefetch *)
-    | clocked_crs -> deps_of clocked_crs
+    | timed -> deps_of timed
   in
   let wildcard = List.rev !wildcard and clocked = List.rev !clocked in
   (* The finer discrimination level: every atomic sub-query of every
@@ -248,7 +239,6 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
       by_label;
       wildcard;
       clocked;
-      always_bucket = merge_sorted wildcard clocked;
       sub;
       alpha;
       beta;
@@ -265,7 +255,7 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
           c_lookups = Obs.Metrics.counter m "engine.dispatch_lookups";
           c_fed = Obs.Metrics.counter m "engine.rules_fed";
           c_skipped = Obs.Metrics.counter m "engine.rules_skipped";
-          c_clock = Obs.Metrics.counter m "engine.clock_advances";
+          c_advanced = Obs.Metrics.counter m "engine.rules_advanced";
           c_seen = Obs.Metrics.counter m "engine.events_seen";
         };
     }
@@ -332,50 +322,28 @@ let fire_detections ~env ~ops cr detections acc =
       acc)
     acc detections
 
-(* Per-event candidate rules from the sub-index, ascending: rules with
-   an atom whose label and payload fingerprint the event satisfies.
-   Refuted rules would be no-op feeds (no atom plan can match), exactly
-   like label misses — and like those, skipped clocked rules still get
-   their timers advanced. *)
-let event_candidates sub all_events =
-  List.map
-    (fun ev ->
-      ( ev,
-        List.sort_uniq Int.compare
-          (List.map snd (Sub_index.lookup sub ~label:ev.Event.label ev.Event.payload)) ))
-    all_events
+(* Rules an event can reach, ascending: with the sub-index, those with
+   an atom whose label and payload fingerprint the event satisfies;
+   with label dispatch, the event label's bucket plus the label-free
+   rules. *)
+let candidates t ev =
+  match t.sub with
+  | Some sub ->
+      List.sort_uniq Int.compare
+        (List.map snd (Sub_index.lookup sub ~label:ev.Event.label ev.Event.payload))
+  | None ->
+      merge_sorted t.wildcard
+        (Option.value ~default:[] (Hashtbl.find_opt t.by_label ev.Event.label))
 
-(* Rule indices that must see this event batch, ascending (= declaration
-   order, so firings come out exactly as the full scan produced them).
-   With the sub-index: the union of the batch's per-event candidates
-   plus the clock observers.  With label dispatch: the buckets of the
-   batch's labels, rules without a label constraint, and — because
-   skipped rules still observe time — every rule with absence timers.
-   All other rules would be no-ops: their atoms cannot match and they
-   have no deadlines to resolve. *)
-let dispatch t candidates all_events =
+(* The rules that see a batch of events, ascending (= declaration order,
+   so firings come out exactly as the full scan produced them): the
+   clocked rules plus every rule some event of the batch can reach.
+   Each of them gets the whole batch, as under the full scan.  Every
+   other rule would see only events its atoms cannot match, and its
+   engine does not observe time, so feeding it would change nothing. *)
+let reached t batch =
   if not t.index then List.init (Array.length t.compiled) Fun.id
-  else begin
-    Obs.Metrics.Counter.incr t.c.c_lookups;
-    let visit =
-      match candidates with
-      | Some per_event ->
-          List.fold_left (fun acc (_, cands) -> merge_sorted acc cands) t.clocked per_event
-      | None ->
-          let buckets =
-            List.concat_map
-              (fun ev ->
-                match Hashtbl.find_opt t.by_label ev.Event.label with
-                | Some bucket -> bucket
-                | None -> [])
-              all_events
-          in
-          merge_sorted t.always_bucket (List.sort_uniq Int.compare buckets)
-    in
-    Obs.Metrics.Counter.incr ~by:(Array.length t.compiled - List.length visit)
-      t.c.c_skipped;
-    visit
-  end
+  else List.fold_left (fun acc ev -> merge_sorted acc (candidates t ev)) t.clocked batch
 
 let handle_event t ~env ~ops event =
   Obs.Metrics.Counter.incr t.c.c_seen;
@@ -392,51 +360,33 @@ let handle_event t ~env ~ops event =
        event reaches steps the shared pipeline, the rest hit the memo *)
     Option.iter Beta.begin_batch t.beta;
     let derived = Deductive_event.feed t.derivation event in
-    let all_events = event :: derived in
-    let candidates = Option.map (fun sub -> event_candidates sub all_events) t.sub in
+    let batch = event :: derived in
+    let visit = reached t batch in
+    if t.index then begin
+      Obs.Metrics.Counter.incr t.c.c_lookups;
+      Obs.Metrics.Counter.incr ~by:(List.length visit * List.length batch) t.c.c_fed;
+      Obs.Metrics.Counter.incr ~by:(Array.length t.compiled - List.length visit) t.c.c_skipped
+    end;
     let acc =
       List.fold_left
         (fun acc i ->
           let cr = t.compiled.(i) in
           List.fold_left
             (fun acc ev ->
-              let relevant =
-                (not t.index)
-                ||
-                match candidates with
-                | Some per_event -> List.mem i (List.assq ev per_event)
-                | None -> (
-                    match cr.labels with
-                    | None -> true
-                    | Some labels -> List.mem ev.Event.label labels)
-              in
-              if relevant then begin
-                if t.index then Obs.Metrics.Counter.incr t.c.c_fed;
-                let detections = Incremental.feed cr.engine ev in
-                if Obs.enabled () && detections <> [] then
-                  ignore
-                    (Obs.Trace.instant ~cat:"rule"
-                       ~args:
-                         [
-                           ("rule", cr.qualified);
-                           ("count", string_of_int (List.length detections));
-                         ]
-                       ~name:"detect" ~vt:(ops.Action.now ()) ());
-                fire_detections ~env ~ops cr detections acc
-              end
-              else if cr.needs_clock then begin
-                (* skipped rules still observe time: resolve absence
-                   deadlines strictly before the event, exactly as a
-                   non-matching feed would *)
-                Obs.Metrics.Counter.incr t.c.c_clock;
-                fire_detections ~env ~ops cr
-                  (Incremental.advance_to cr.engine (Event.time ev - 1))
-                  acc
-              end
-              else acc)
-            acc all_events)
+              let detections = Incremental.feed cr.engine ev in
+              if Obs.enabled () && detections <> [] then
+                ignore
+                  (Obs.Trace.instant ~cat:"rule"
+                     ~args:
+                       [
+                         ("rule", cr.qualified);
+                         ("count", string_of_int (List.length detections));
+                       ]
+                     ~name:"detect" ~vt:(ops.Action.now ()) ());
+              fire_detections ~env ~ops cr detections acc)
+            acc batch)
         { empty_outcome with derived_events = derived }
-        (dispatch t candidates all_events)
+        visit
     in
     let out = finish acc in
     (if span <> 0 then
@@ -449,19 +399,28 @@ let handle_event t ~env ~ops event =
     out
   end
 
+(* A bare clock advance moves only the clocked rules; the events it
+   derives reach their candidates through the same path as
+   [handle_event].  A reached rule is fed the derived events before its
+   clock moves, and its timer detections fire first. *)
 let advance t ~env ~ops time =
   Option.iter Beta.begin_batch t.beta;
   let derived = Deductive_event.advance_to t.derivation time in
   let acc =
-    Array.fold_left
-      (fun acc cr ->
-        let detections =
-          Incremental.advance_to cr.engine time
-          @ List.concat_map (fun ev -> Incremental.feed cr.engine ev) derived
+    List.fold_left
+      (fun acc i ->
+        let cr = t.compiled.(i) in
+        let fed = List.concat_map (fun ev -> Incremental.feed cr.engine ev) derived in
+        let timed =
+          if t.index && not (Incremental.observes_time cr.engine) then []
+          else begin
+            Obs.Metrics.Counter.incr t.c.c_advanced;
+            Incremental.advance_to cr.engine time
+          end
         in
-        fire_detections ~env ~ops cr detections acc)
+        fire_detections ~env ~ops cr (timed @ fed) acc)
       { empty_outcome with derived_events = derived }
-      t.compiled
+      (reached t derived)
   in
   finish acc
 
@@ -476,14 +435,6 @@ let stats t = Array.to_list (Array.map (fun cr -> (cr.qualified, cr.stats)) t.co
 let events_seen t = Obs.Metrics.Counter.value t.c.c_seen
 let metrics t = t.m
 
-let index_stats t =
-  {
-    dispatch_lookups = Obs.Metrics.Counter.value t.c.c_lookups;
-    rules_fed = Obs.Metrics.Counter.value t.c.c_fed;
-    rules_skipped = Obs.Metrics.Counter.value t.c.c_skipped;
-    clock_advances = Obs.Metrics.Counter.value t.c.c_clock;
-  }
-
 let dispatch_labels t = Hashtbl.length t.by_label
 let subindex_stats t = Option.map Sub_index.stats t.sub
 let alpha_stats t = Option.map Alpha.stats t.alpha
@@ -495,7 +446,8 @@ let clocked_remote_resources t = t.clocked_remote_deps
 let min_opt a b =
   match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (min x y)
 
+(* only clocked rules can hold a deadline: the others have no timers *)
 let next_deadline t =
-  Array.fold_left
-    (fun acc cr -> min_opt acc (Incremental.next_deadline cr.engine))
-    None t.compiled
+  List.fold_left
+    (fun acc i -> min_opt acc (Incremental.next_deadline t.compiled.(i).engine))
+    None t.clocked

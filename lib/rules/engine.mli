@@ -33,9 +33,11 @@ val create :
     [label -> rules] hash table (plus a wildcard bucket for rules
     without a label constraint): an event only touches rules that can
     react to it, instead of scanning the whole rule base.  A rule whose
-    query names only other labels is not fed the event (its absence
-    timers are still advanced, preserving semantics — a separate
-    clock-observer bucket).
+    query names only other labels is not fed the event, unless its
+    engine observes time ({!Incremental.observes_time}: absence timers,
+    horizon-pruned or accumulated join state).  Such {e clocked} rules
+    see every input, as under the full scan.  [~index:false] is that
+    full scan: every rule sees every input.
 
     [subindex] (default: on unless [XCHANGE_NO_SUBINDEX=1]; only
     meaningful with [index]) replaces the flat label buckets with a
@@ -81,10 +83,23 @@ type outcome = {
 }
 
 val handle_event : t -> env:Condition.env -> ops:Action.ops -> Event.t -> outcome
-(** Feeds the event (and the events it derives) to every rule. *)
+(** Feeds the event, then the events the derivation network derives
+    from it, to the rules this batch reaches: the clocked rules plus the
+    candidates of any event in the batch.  Each reached rule gets the
+    whole batch, in ascending rule order, so firings come out as under
+    the full scan.  The other rules are skipped; their feeds would be
+    no-ops.  [engine.rules_fed] and [engine.rules_skipped] count both
+    sides. *)
 
 val advance : t -> env:Condition.env -> ops:Action.ops -> Clock.time -> outcome
-(** Moves the engine clock: absence deadlines can fire rules. *)
+(** Moves the engine clock: absence deadlines can fire rules.  Advances
+    the derivation network, feeds the events it derives to the rules
+    they reach (the same path as {!handle_event}), and advances only
+    the clocked rules: a bare clock advance cannot make any other rule
+    fire.  A rule is fed before its clock moves, and its timer
+    detections fire first.  Costs O(clocked + reached rules), not
+    O(rules); [engine.rules_advanced] counts the rules advanced.
+    [~index:false] advances every rule. *)
 
 val load_ruleset : t -> Ruleset.t -> (t, string) result
 (** Meta-programming support (Thesis 11): a new rule set received as a
@@ -121,27 +136,19 @@ val clocked_remote_resources : t -> ([ `Doc | `Rdf ] * string) list
     engine {!advance}.  Empty when no rule has absence timers. *)
 
 val next_deadline : t -> Clock.time option
-(** Earliest pending absence deadline across all rules ([None] when no
-    timer is armed).  Event-derivation timers are not included; a
-    periodic heartbeat still covers those. *)
+(** Earliest pending absence deadline across the clocked rules, the
+    only ones that can hold one ([None] when no timer is armed).
+    Event-derivation timers are not included; a periodic heartbeat
+    still covers those. *)
 
 (** {1 Dispatch observability} *)
 
-type index_stats = {
-  mutable dispatch_lookups : int;  (** event batches routed through the table *)
-  mutable rules_fed : int;  (** (rule, event) feeds that passed dispatch *)
-  mutable rules_skipped : int;  (** rules not even visited for a batch *)
-  mutable clock_advances : int;
-      (** timer-only advances of skipped absence rules *)
-}
-
-val index_stats : t -> index_stats
-(** Counters since [create]; all zero when [index] is false.  A legacy
-    view built from the engine's {!Obs.Metrics} registry cells at call
-    time (a snapshot, not a live reference). *)
-
 val metrics : t -> Obs.Metrics.t
-(** The engine's registry: the [engine.*] dispatch counters and
+(** The engine's registry.  Dispatch counters, all zero under
+    [~index:false] except the last: [engine.dispatch_lookups] (event
+    batches routed), [engine.rules_fed] ((rule, event) feeds),
+    [engine.rules_skipped] (rules a batch did not reach) and
+    [engine.rules_advanced] (rules {!advance} moved the clock of).  Also
     [engine.events_seen], plus pull cells sampling the per-rule and
     join-level aggregates ([engine.live_instances],
     [engine.condition_evaluations], [engine.join.*]).  When tracing is

@@ -166,7 +166,7 @@ let push_tail t entry ~now =
   end
 
 (* Build the action capabilities for one processing step; update
-   notifications accumulate in [pending] as local events. *)
+   notifications queue up in [pending] as local events. *)
 let ops_for t ctx pending =
   let local_apply u =
     match Store.apply t.store u with
@@ -179,7 +179,7 @@ let ops_for t ctx pending =
               Event.make ~id:(fresh_event_id t) ~sender:t.host ~recipient:t.host
                 ~occurred_at:(ctx.now ()) ~label:"update" summary
             in
-            pending := !pending @ [ ev ])
+            Queue.push ev pending)
           notifications;
         Ok n
   in
@@ -230,7 +230,7 @@ let ops_for t ctx pending =
     checkpoint =
       (fun () ->
         let b = Store.backup t.store in
-        let saved_pending = !pending in
+        let saved_pending = Queue.copy pending in
         let wal_mark =
           match t.wal with
           | Some w when t.wal_active -> Some (w, Wal.mark w)
@@ -241,15 +241,18 @@ let ops_for t ctx pending =
           (* rolled-back writes must not cascade update events either,
              and their [Update] audit records must leave the log: an
              aborted transaction never happened *)
-          pending := saved_pending;
+          Queue.clear pending;
+          Queue.transfer (Queue.copy saved_pending) pending;
           match wal_mark with Some (w, m) -> Wal.truncate w m | None -> ());
   }
 
-let merge_outcomes (a : Engine.outcome) (b : Engine.outcome) =
+(* One outcome from a sequence of them, concatenated once at the end
+   rather than appended step by step. *)
+let concat_outcomes outcomes =
   {
-    Engine.firings = a.Engine.firings @ b.Engine.firings;
-    derived_events = a.Engine.derived_events @ b.Engine.derived_events;
-    errors = a.Engine.errors @ b.Engine.errors;
+    Engine.firings = List.concat_map (fun (o : Engine.outcome) -> o.Engine.firings) outcomes;
+    derived_events = List.concat_map (fun (o : Engine.outcome) -> o.Engine.derived_events) outcomes;
+    errors = List.concat_map (fun (o : Engine.outcome) -> o.Engine.errors) outcomes;
   }
 
 let empty_outcome = { Engine.firings = []; derived_events = []; errors = [] }
@@ -265,13 +268,13 @@ let record t ~at (outcome : Engine.outcome) =
 (* Run the engine on an event, then on the local update events its
    actions produced, and so on — bounded. *)
 let cascade t ctx first =
-  let pending = ref [ first ] in
+  let pending = Queue.create () in
+  Queue.push first pending;
   let ops = ops_for t ctx pending in
   let rec go depth acc =
-    match !pending with
-    | [] -> acc
-    | e :: rest ->
-        pending := rest;
+    match Queue.take_opt pending with
+    | None -> acc
+    | Some e ->
         if depth > max_cascade_depth then begin
           note_error t "<cascade>" "update cascade exceeded maximum depth";
           acc
@@ -279,10 +282,10 @@ let cascade t ctx first =
         else begin
           push_tail t (Wal.T_event e) ~now:(Event.time e);
           let outcome = Engine.handle_event t.engine ~env:ctx.env ~ops e in
-          go (depth + 1) (merge_outcomes acc outcome)
+          go (depth + 1) (outcome :: acc)
         end
   in
-  go 0 empty_outcome
+  concat_outcomes (List.rev (go 0 []))
 
 let load_rules t payload =
   match t.decoder with
@@ -394,14 +397,15 @@ let apply_remote t ctx ~from update =
       (* remote writes raise the same local update events as rule
          actions, so derived ECA rules see them too *)
       let outcome =
-        List.fold_left
-          (fun acc { Store.summary; _ } ->
-            let ev =
-              Event.make ~id:(fresh_event_id t) ~sender:from ~recipient:t.host
-                ~occurred_at:(ctx.now ()) ~label:"update" summary
-            in
-            merge_outcomes acc (cascade t ctx ev))
-          empty_outcome notifications
+        concat_outcomes
+          (List.map
+             (fun { Store.summary; _ } ->
+               let ev =
+                 Event.make ~id:(fresh_event_id t) ~sender:from ~recipient:t.host
+                   ~occurred_at:(ctx.now ()) ~label:"update" summary
+               in
+               cascade t ctx ev)
+             notifications)
       in
       record t ~at:(ctx.now ()) outcome
 
@@ -428,12 +432,12 @@ let receive_update t ctx ~from ~msg_id update =
 
 let advance_engine t ctx time =
   push_tail t (Wal.T_advance time) ~now:time;
-  let pending = ref [] in
+  let pending = Queue.create () in
   let ops = ops_for t ctx pending in
   let outcome = Engine.advance t.engine ~env:ctx.env ~ops time in
   (* update events caused by timer firings cascade as usual *)
   let outcome =
-    List.fold_left (fun acc e -> merge_outcomes acc (cascade t ctx e)) outcome !pending
+    concat_outcomes (outcome :: List.map (cascade t ctx) (List.of_seq (Queue.to_seq pending)))
   in
   record t ~at:time outcome
 

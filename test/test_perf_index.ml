@@ -147,6 +147,211 @@ let prop_dispatch =
     (QCheck.pair queries_arb stream_arb)
     dispatch_prop
 
+(* ---- Engine: skipped rules stay exact under interleaved advances ----
+
+   Random scripts interleave events and clock advances (times never go
+   back, as on a node's timeline) over rule bases with absence timers,
+   timer-driven event derivations, consumption and First/Last
+   selection, accumulators over windowed joins, with and without an
+   engine horizon, shared or not.  The dispatching engine skips rules on
+   events and advances alike; every outcome, in order, and the final
+   store must equal the full scan's. *)
+
+type step = Feed of Event.t | Advance of Clock.time
+
+type case = {
+  queries : Event_query.t list;
+  derivations : int;  (** how many of [derivation_rules] the program has *)
+  horizon : Clock.span option;
+  share : bool;
+  subindex : bool;
+  script : step list;
+}
+
+(* [Within (Agg (And ...))]: the window prunes the join, but the
+   accumulator sees the join's tuples before the window's span check.
+   The second atom binds nothing, so all tuples share one group. *)
+let counted (l1, l2) inner window w =
+  Event_query.Within
+    ( Event_query.Agg
+        {
+          Event_query.over =
+            Event_query.And
+              [
+                Event_query.on ~label:l1 (Qterm.el inner [ Qterm.pos (Qterm.var "X") ]);
+                Event_query.on ~label:l2 (Qterm.el inner []);
+              ];
+          var = "X";
+          window;
+          op = Construct.Count;
+          bind = "N";
+        },
+      w )
+
+let accumulated_gen =
+  QCheck.Gen.(
+    map3
+      (fun labels (inner, window) w -> counted labels inner window (1 + w))
+      (pair (oneofl [ "a"; "b"; "c" ]) (oneofl [ "a"; "b"; "c" ]))
+      (pair (oneofl [ "item"; "price" ]) (int_range 2 3))
+      (int_bound 15))
+
+(* random terms, and small numeric records the accumulator atoms match *)
+let payload_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, Gen.term_gen);
+        (1, map2 (fun l n -> Term.elem l [ Term.int n ]) (oneofl [ "item"; "price" ]) (int_bound 3));
+      ])
+
+(* both derive label "c", which ECA rules also react to; the first fires
+   on clock advances (an [a] not followed by a matching [b]) *)
+let derivation_rules =
+  let on l v = Event_query.on ~label:l (Qterm.var v) in
+  [
+    Deductive_event.rule ~name:"late" ~derives:"c"
+      ~trigger:(Event_query.Absent (on "a" "P", on "b" "P", 7))
+      ~payload:(Construct.cel "late" [ Construct.cvar "P" ]);
+    Deductive_event.rule ~name:"pair" ~derives:"c"
+      ~trigger:(Event_query.within (Event_query.seq [ on "b" "P"; on "a" "Q" ]) 10)
+      ~payload:(Construct.cel "pair" [ Construct.cvar "Q" ]);
+  ]
+
+(* steps carry gaps; times are made absolute once, so both engines see
+   the very same events (ids included) *)
+let script_gen =
+  QCheck.Gen.(
+    map
+      (fun steps ->
+        let _, rev =
+          List.fold_left
+            (fun (t, acc) step ->
+              match step with
+              | `Feed (gap, label, payload) ->
+                  let t = t + gap in
+                  (t, Feed (Event.make ~occurred_at:t ~label payload) :: acc)
+              | `Advance gap ->
+                  let t = t + gap in
+                  (t, Advance t :: acc))
+            (0, []) steps
+        in
+        List.rev rev)
+      (list_size (int_bound 25)
+         (frequency
+            [
+              ( 3,
+                map3
+                  (fun gap label payload -> `Feed (gap, label, payload))
+                  (int_bound 12) (oneofl [ "a"; "b"; "c" ]) payload_gen );
+              (1, map (fun gap -> `Advance gap) (int_bound 40));
+            ])))
+
+let case_gen =
+  QCheck.Gen.(
+    map3
+      (fun (queries, derivations) (horizon, share, subindex) script ->
+        { queries; derivations; horizon; share; subindex; script })
+      (pair
+         (list_size (int_range 1 4)
+            (frequency [ (4, Gen.event_query_gen); (1, accumulated_gen) ]))
+         (int_bound 2))
+      (triple (opt (oneofl [ 20; 60 ])) bool bool)
+      script_gen)
+
+let print_case c =
+  Fmt.str "queries:@.%a@.derivations: %d, horizon: %a, share: %b, subindex: %b@.script:@.%a"
+    Fmt.(list ~sep:(any "@\n") Event_query.pp)
+    c.queries c.derivations
+    Fmt.(option ~none:(any "none") int)
+    c.horizon c.share c.subindex
+    Fmt.(
+      list ~sep:(any "@\n") (fun ppf -> function
+        | Feed e -> Event.pp ppf e | Advance t -> Fmt.pf ppf "advance %d" t))
+    c.script
+
+(* per-rule policies vary by position: plain, consuming First, Last,
+   consuming Each *)
+let policy_rules queries =
+  List.mapi
+    (fun i q ->
+      let name = Printf.sprintf "r%d" i in
+      let selection =
+        match i mod 3 with 1 -> Incremental.First | 2 -> Incremental.Last | _ -> Incremental.Each
+      in
+      Eca.make ~consume:(i mod 2 = 1) ~selection ~name ~on:q
+        (Action.insert ~doc:"/orders" (Construct.cel "row" [ Construct.ctext name ])))
+    queries
+
+let interleave_prop c =
+  let valid = List.filter (fun q -> Result.is_ok (Event_query.validate q)) c.queries in
+  if valid = [] then QCheck.assume_fail ()
+  else
+    let run index =
+      let ruleset =
+        Ruleset.make ~rules:(policy_rules valid)
+          ~event_rules:(List.filteri (fun i _ -> i < c.derivations) derivation_rules)
+          "p"
+      in
+      let engine =
+        Engine.create_exn ?horizon:c.horizon ~index ~subindex:c.subindex ~share:c.share ruleset
+      in
+      let store, ops = harness () in
+      let env = Store.env store in
+      let outcomes =
+        List.map
+          (function
+            | Feed e -> Engine.handle_event engine ~env ~ops e
+            | Advance t -> Engine.advance engine ~env ~ops t)
+          c.script
+      in
+      let last =
+        List.fold_left
+          (fun acc -> function Feed e -> max acc (Event.time e) | Advance t -> max acc t)
+          0 c.script
+      in
+      let closing = Engine.advance engine ~env ~ops (last + 10_000) in
+      (outcomes @ [ closing ], Option.get (Store.doc store "/orders"))
+    in
+    let indexed, doc_i = run true in
+    let naive, doc_n = run false in
+    if List.for_all2 outcome_equal indexed naive && Term.equal doc_i doc_n then true
+    else
+      QCheck.Test.fail_reportf "divergence between dispatch and full scan on %d rules"
+        (List.length valid)
+
+(* A case random scripts rarely hit: the non-matching [c] at 42 prunes
+   [b@24] under the full scan.  Kept by a skipping dispatcher, it would
+   join [b@50] into a tuple the window rejects, but only after the count
+   has buffered it, shifting which three tuples the next aggregate
+   spans. *)
+let test_accumulator_observes_time () =
+  let feed t label payload = Feed (Event.make ~occurred_at:t ~label payload) in
+  let item children = Term.elem "item" children in
+  let case =
+    {
+      queries = [ counted ("b", "b") "item" 3 16; Event_query.on ~label:"c" (Qterm.var "P") ];
+      derivations = 0;
+      horizon = None;
+      share = true;
+      subindex = true;
+      script =
+        [
+          feed 24 "b" (item [ Term.int 1 ]);
+          feed 33 "c" (item [ Term.int 2 ]);
+          feed 36 "b" (item [ Term.int 3 ]);
+          feed 42 "c" (Term.text "x");
+          feed 50 "b" (item []);
+        ];
+    }
+  in
+  Alcotest.(check bool) "dispatch = full scan" true (interleave_prop case)
+
+let prop_interleave =
+  QCheck.Test.make ~name:"Engine: dispatch = full scan across events and advances" ~count:500
+    (QCheck.make ~print:print_case case_gen)
+    interleave_prop
+
 (* ---- Store.query: memoized answers stay coherent across updates ---- *)
 
 (* Scripts interleave queries (drawn from a small pool so the cache gets
@@ -240,6 +445,9 @@ let test_store_counters () =
   Alcotest.(check int) "second miss" 2 st.Store.query_cache_misses;
   Alcotest.(check int) "index rebuilt" 2 st.Store.index_builds
 
+let counter engine name =
+  int_of_float (Obs.Metrics.total (Obs.Metrics.snapshot (Engine.metrics engine)) name)
+
 let test_engine_counters () =
   let rule l =
     Eca.make ~name:("r-" ^ l) ~on:(Event_query.on ~label:l (Qterm.var "P")) Action.Nop
@@ -254,10 +462,43 @@ let test_engine_counters () =
     Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:1 ~label:"a" (Term.text "x"))
   in
   Alcotest.(check int) "only r-a fires" 1 (List.length outcome.Engine.firings);
-  let st = Engine.index_stats engine in
-  Alcotest.(check int) "one lookup" 1 st.Engine.dispatch_lookups;
-  Alcotest.(check int) "one rule fed" 1 st.Engine.rules_fed;
-  Alcotest.(check int) "two rules skipped" 2 st.Engine.rules_skipped
+  Alcotest.(check int) "one lookup" 1 (counter engine "engine.dispatch_lookups");
+  Alcotest.(check int) "one rule fed" 1 (counter engine "engine.rules_fed");
+  Alcotest.(check int) "two rules skipped" 2 (counter engine "engine.rules_skipped")
+
+(* Engine work per advance follows the rules that observe time, not the
+   rule count. *)
+let test_advance_scales_with_clocked_rules () =
+  let rules =
+    List.init 10_000 (fun i ->
+        Eca.make ~name:(Printf.sprintf "r%d" i)
+          ~on:(Event_query.on ~label:(Printf.sprintf "l%d" (i mod 16)) (Qterm.var "P"))
+          Action.Nop)
+  in
+  let engine = Engine.create_exn (Ruleset.make ~rules "big") in
+  let store, ops = harness () in
+  let env = Store.env store in
+  ignore (Engine.advance engine ~env ~ops 100);
+  Alcotest.(check int) "timerless rules not advanced" 0 (counter engine "engine.rules_advanced");
+  Alcotest.(check (option int)) "no deadline" None (Engine.next_deadline engine);
+  let late =
+    Eca.make ~name:"late"
+      ~on:
+        (Event_query.absent
+           (Event_query.on ~label:"l0" (Qterm.var "P"))
+           ~then_absent:(Event_query.on ~label:"l1" (Qterm.var "P"))
+           ~for_:50)
+      Action.Nop
+  in
+  let engine =
+    Result.get_ok (Engine.load_ruleset engine (Ruleset.make ~rules:[ late ] "extra"))
+  in
+  ignore
+    (Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:110 ~label:"l0" (Term.text "x")));
+  Alcotest.(check (option int)) "armed deadline" (Some 160) (Engine.next_deadline engine);
+  let fired = Engine.advance engine ~env ~ops 200 in
+  Alcotest.(check int) "only the absence rule advanced" 1 (counter engine "engine.rules_advanced");
+  Alcotest.(check int) "absence fired" 1 (List.length fired.Engine.firings)
 
 let suite =
   ( "perf-index",
@@ -267,8 +508,13 @@ let suite =
       QCheck_alcotest.to_alcotest prop_select_pruned;
       QCheck_alcotest.to_alcotest prop_dedup;
       QCheck_alcotest.to_alcotest ~long:true prop_dispatch;
+      QCheck_alcotest.to_alcotest prop_interleave;
+      Alcotest.test_case "accumulated windowed join observes time" `Quick
+        test_accumulator_observes_time;
       QCheck_alcotest.to_alcotest prop_cache_coherent;
       Alcotest.test_case "LRU bounds and counters" `Quick test_lru;
       Alcotest.test_case "store index/cache counters" `Quick test_store_counters;
       Alcotest.test_case "engine dispatch counters" `Quick test_engine_counters;
+      Alcotest.test_case "advance touches only clocked rules" `Quick
+        test_advance_scales_with_clocked_rules;
     ] )
