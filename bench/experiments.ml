@@ -50,7 +50,7 @@ let e1 () =
           done)
     in
     let done_rows = List.length (Term.children (Option.get (Store.doc store "/done"))) in
-    (Engine.total_condition_evaluations engine, done_rows, ms)
+    (cells (Engine.metrics engine) "engine.condition_evaluations", done_rows, ms)
   in
   let run_production n =
     let store = Store.create () in
@@ -81,9 +81,8 @@ let e1 () =
             ignore (Production.poll ~env:(Store.env store) ~ops ~procs:(fun _ -> None) engine)
           done)
     in
-    let s = Production.stats engine in
     let done_rows = List.length (Term.children (Option.get (Store.doc store "/done"))) in
-    (s.Production.condition_evaluations, done_rows, ms)
+    (cells (Production.metrics engine) "production.condition_evaluations", done_rows, ms)
   in
   let rows =
     List.map
@@ -186,7 +185,7 @@ let e2 () =
     Network.inject net ~to_:(host 0) ~label:"token" (Term.elem "token" [ Term.int hops ]);
     let t = Network.run_until_quiet net () in
     let stats = Network.transport_stats net in
-    (stats.Transport.messages, t, Engine.events_seen (Node.engine coord))
+    (stats.Transport.messages, t, cells (Engine.metrics (Node.engine coord)) "engine.events_seen")
   in
   let rows =
     List.map
@@ -661,7 +660,7 @@ let e9 () =
             ignore (Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:i ~label:"order" (Term.elem "order" [])))
           done)
     in
-    (Engine.total_condition_evaluations engine, ms)
+    (cells (Engine.metrics engine) "engine.condition_evaluations", ms)
   in
   let ecaa = [ Eca.make ~name:"r" ~on:on_order ~if_:cond_gold Action.Nop ~else_:Action.Nop ] in
   let two_rules =

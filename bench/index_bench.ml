@@ -1,5 +1,5 @@
 (* Hot-path indexing benchmarks (the perf companion of HACKING.md
-   "Performance architecture"): label dispatch vs full rule scan,
+   "Performance architecture"): sub-index dispatch vs full rule scan,
    term-index-pruned matching vs full traversal, and memoized store
    queries vs fresh evaluation.  Prints tables and emits machine-readable
    BENCH_index.json.  [~smoke] runs a fast subset (wired into
@@ -111,13 +111,13 @@ let cache_case ~nodes ~repeats =
   in
   if not (List.equal Subst.equal naive_answers cached_answers) then
     failwith "cache bench: cached answers differ from naive";
-  let st = Store.stats store in
+  let cell = Util.cells (Store.metrics store) in
   ( nodes,
     repeats,
     naive_ms,
     cached_ms,
-    st.Store.query_cache_hits,
-    st.Store.query_cache_misses )
+    cell "store.query_cache_hits",
+    cell "store.query_cache_misses" )
 
 (* ---- JSON emission (hand-rolled; no deps) ---- *)
 
@@ -141,7 +141,7 @@ let run ~smoke () =
     Obs.Profile.phase "dispatch" (fun () ->
         List.map (fun (n, m) -> dispatch_case ~rules:n ~events:m) dispatch_sizes)
   in
-  Util.print_table ~title:"event dispatch: full scan vs label table"
+  Util.print_table ~title:"event dispatch: full scan vs sub-index"
     ~header:[ "rules"; "events"; "firings"; "scan ms"; "indexed ms"; "speedup" ]
     (List.map
        (fun (n, m, fired, naive, indexed) ->

@@ -85,25 +85,25 @@ let case ~overlap ~rules:n ~events:m =
                   (Engine.handle_event engine ~env:empty_env ~ops:null_ops ev).Engine.firings)
             0 events)
     in
-    (fired, Incremental.atomic_matcher_runs (), ms, Engine.alpha_stats engine)
+    (fired, Incremental.atomic_matcher_runs (), ms, Util.cells (Engine.metrics engine))
   in
   let fired_s, runs_shared, shared_ms, alpha = run true in
   let fired_u, runs_unshared, unshared_ms, _ = run false in
   if fired_s <> fired_u then
     failwith
       (Printf.sprintf "rules bench: %d shared firings vs %d unshared" fired_s fired_u);
-  let alpha = Option.get alpha in
   let hit_rate =
-    let total = alpha.Alpha.evaluations + alpha.Alpha.hits in
-    if total = 0 then 0. else float_of_int alpha.Alpha.hits /. float_of_int total
+    let hits = alpha "alpha.hits" in
+    let total = alpha "alpha.evaluations" + hits in
+    if total = 0 then 0. else float_of_int hits /. float_of_int total
   in
   {
     rules = n;
     overlap = (match overlap with `High -> "high" | `Low -> "low");
     events = m;
     firings = fired_u;
-    distinct_nodes = alpha.Alpha.distinct_nodes;
-    registrations = alpha.Alpha.registrations;
+    distinct_nodes = alpha "alpha.nodes";
+    registrations = alpha "alpha.registrations";
     hit_rate;
     runs_shared;
     runs_unshared;
@@ -175,24 +175,18 @@ let comp_case ~kind ~overlap ~rules:n ~events:m =
               + fire (Engine.advance engine ~env:empty_env ~ops:null_ops (Event.time ev)))
             0 events)
     in
-    let advanced =
-      Obs.Metrics.total (Obs.Metrics.snapshot (Engine.metrics engine)) "engine.rules_advanced"
-    in
-    ( fired,
-      (Engine.join_stats engine).Incremental.pairs_probed,
-      int_of_float advanced,
-      ms,
-      Engine.beta_stats engine )
+    let cell = Util.cells (Engine.metrics engine) in
+    (fired, cell "engine.join.pairs_probed", cell "engine.rules_advanced", ms, cell)
   in
   let fired_s, joins_shared, advanced, shared_ms, beta = run true in
   let fired_u, joins_unshared, _, unshared_ms, _ = run false in
   if fired_s <> fired_u then
     failwith
       (Printf.sprintf "composite bench: %d shared firings vs %d unshared" fired_s fired_u);
-  let beta = Option.get beta in
   let hit_rate =
-    let total = beta.Beta.steps + beta.Beta.hits in
-    if total = 0 then 0. else float_of_int beta.Beta.hits /. float_of_int total
+    let hits = beta "beta.hits" in
+    let total = beta "beta.steps" + hits in
+    if total = 0 then 0. else float_of_int hits /. float_of_int total
   in
   {
     c_kind = (match kind with `And -> "and" | `Seq -> "seq");
@@ -200,8 +194,8 @@ let comp_case ~kind ~overlap ~rules:n ~events:m =
     c_overlap = (match overlap with `High -> "high" | `Low -> "low");
     c_events = m;
     c_firings = fired_u;
-    c_nodes = beta.Beta.distinct_nodes;
-    c_registrations = beta.Beta.registrations;
+    c_nodes = beta "beta.nodes";
+    c_registrations = beta "beta.registrations";
     c_hit_rate = hit_rate;
     c_joins_shared = joins_shared;
     c_joins_unshared = joins_unshared;

@@ -67,7 +67,9 @@ let run_profile ~probes ~orders p =
      the same id stream and runs are replayable in isolation *)
   Message.reset_ids ();
   Event.reset_ids ();
-  let net = Network.create ~faults:p.faults () in
+  (* one partition: [sched.max_queue] sums across partitions in a
+     merged snapshot, and this records one timeline's high-water mark *)
+  let net = Network.create ~faults:p.faults ~domains:1 () in
   let asker = node_exn ~host:"asker.example" (probe_rules ()) in
   Store.add_doc (Node.store asker) "/hits" (Term.elem ~ord:Term.Unordered "hits" []);
   let data = node_exn ~host:"data.example" (Ruleset.make "data") in
@@ -88,8 +90,15 @@ let run_profile ~probes ~orders p =
   Network.run net ~until:300;
   let clock = Network.run_until_quiet net ~limit:2_000 () in
   let s = Network.transport_stats net in
-  let ns = Network.node_stats net "asker.example" in
-  let ss = Network.sched_stats net in
+  let m = Network.metrics_snapshot net in
+  let cell name = int_of_float (Obs.Metrics.total m name) in
+  let at_asker name = Obs.Metrics.find m ~labels:[ ("host", "asker.example") ] name in
+  let count name = match at_asker name with Some (Obs.Metrics.Int n) -> n | _ -> 0 in
+  let completed, rtt_total, rtt_max =
+    match at_asker "node.fetch_rtt_ms" with
+    | Some (Obs.Metrics.Summary { count; sum; max; _ }) -> (count, sum, max)
+    | _ -> (0, 0., 0.)
+  in
   let reactions =
     List.length (Term.children (Option.get (Store.doc (Node.store asker) "/hits")))
   in
@@ -101,15 +110,13 @@ let run_profile ~probes ~orders p =
     r_bytes = s.Transport.bytes;
     r_dropped = s.Transport.dropped;
     r_duplicated = s.Transport.duplicated;
-    r_retries = ns.Network.fetch_retries;
-    r_timeouts = ns.Network.fetch_timeouts;
-    r_mean_rtt =
-      (if ns.Network.fetches_completed = 0 then 0.
-       else float_of_int ns.Network.fetch_latency_total /. float_of_int ns.Network.fetches_completed);
-    r_max_rtt = ns.Network.fetch_latency_max;
+    r_retries = count "node.fetch_retries";
+    r_timeouts = count "node.fetch_timeouts";
+    r_mean_rtt = (if completed = 0 then 0. else rtt_total /. float_of_int completed);
+    r_max_rtt = int_of_float rtt_max;
     r_clock = clock;
-    r_occurrences = ss.Sched.executed;
-    r_max_queue = ss.Sched.max_queue;
+    r_occurrences = cell "sched.executed";
+    r_max_queue = cell "sched.max_queue";
   }
 
 (* ---- JSON emission (hand-rolled; no deps) ---- *)

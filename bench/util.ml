@@ -19,6 +19,12 @@ let print_table ~title ~header rows =
   Fmt.pr "|%s|@." (String.concat "|" (List.map (fun w -> String.make (w + 2) '-') widths));
   List.iter (fun row -> Fmt.pr "| %s |@." (String.concat " | " (List.mapi pad row))) rows
 
+(* A registry's cells at this instant: name -> value, summed over label
+   sets, 0 when absent. *)
+let cells m =
+  let samples = Xchange.Obs.Metrics.snapshot m in
+  fun name -> int_of_float (Xchange.Obs.Metrics.total samples name)
+
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
 let si n =

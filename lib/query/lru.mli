@@ -7,7 +7,8 @@
     value being inserted (a regex compilation, a full document match).
 
     Hit/miss/eviction counters are exposed for the observability hooks
-    ({!Xchange_web.Store.stats}, experiment harnesses). *)
+    (the [store.query_cache_*] cells of {!Xchange_web.Store.metrics},
+    experiment harnesses). *)
 
 type ('k, 'v) t
 

@@ -47,9 +47,10 @@ type 'a t
 
 val enabled : unit -> bool
 (** [false] when [XCHANGE_NO_SUBINDEX=1] is set in the environment
-    (read once at startup) — consumers ({!Xchange_rules.Engine},
-    {!Xchange_web.Pubsub}) then fall back to their linear reference
-    paths, mirroring the [XCHANGE_NO_PLAN] escape hatch. *)
+    (read once at startup) — consumers then fall back to their linear
+    reference paths, mirroring the [XCHANGE_NO_PLAN] escape hatch:
+    {!Xchange_rules.Engine} to the full scan over its rules,
+    {!Xchange_web.Pubsub} to the scan over its registrations. *)
 
 val create : ?metrics:Obs.Metrics.t -> unit -> 'a t
 (** [metrics] registers the index's [subindex.*] cells in an existing

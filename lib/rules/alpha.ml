@@ -42,6 +42,7 @@ end)
 
 type t = {
   net : Net.t;
+  m : Obs.Metrics.t;
   mutable evaluations : int;
   mutable hits : int;
   mutable fanout : int;
@@ -49,22 +50,20 @@ type t = {
 
 let enabled () = not Xchange_core.Escape.no_share
 
-let distinct_nodes t = Net.distinct t.net
-
 let create ?metrics ?(digest = Event_query.atomic_digest) () =
+  let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
-    { net = Net.create ~name:"Alpha" ~digest; evaluations = 0; hits = 0; fanout = 0 }
+    { net = Net.create ~name:"Alpha" ~digest; m; evaluations = 0; hits = 0; fanout = 0 }
   in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      Obs.Metrics.gauge_fn m "alpha.nodes" (fun () -> float_of_int (distinct_nodes t));
-      Obs.Metrics.gauge_fn m "alpha.registrations" (fun () ->
-          float_of_int (Net.registrations t.net));
-      Obs.Metrics.counter_fn m "alpha.evaluations" (fun () -> t.evaluations);
-      Obs.Metrics.counter_fn m "alpha.hits" (fun () -> t.hits);
-      Obs.Metrics.counter_fn m "alpha.fanout" (fun () -> t.fanout));
+  Obs.Metrics.gauge_fn m "alpha.nodes" (fun () -> float_of_int (Net.distinct t.net));
+  Obs.Metrics.gauge_fn m "alpha.registrations" (fun () ->
+      float_of_int (Net.registrations t.net));
+  Obs.Metrics.counter_fn m "alpha.evaluations" (fun () -> t.evaluations);
+  Obs.Metrics.counter_fn m "alpha.hits" (fun () -> t.hits);
+  Obs.Metrics.counter_fn m "alpha.fanout" (fun () -> t.fanout);
   t
+
+let metrics t = t.m
 
 let compile_payload (a : Event_query.atomic) =
   match Simulate.plan a.Event_query.pattern with
@@ -105,20 +104,3 @@ let matcher t node : Incremental.atom_matcher =
   end
 
 let subscribe t atom = matcher t (register t atom)
-
-type stats = {
-  distinct_nodes : int;
-  registrations : int;
-  evaluations : int;
-  hits : int;
-  fanout : int;
-}
-
-let stats t =
-  {
-    distinct_nodes = distinct_nodes t;
-    registrations = Net.registrations t.net;
-    evaluations = t.evaluations;
-    hits = t.hits;
-    fanout = t.fanout;
-  }

@@ -38,8 +38,9 @@ type handle
 (** One live subscription of one rule atom to a shared node. *)
 
 val create : ?metrics:Obs.Metrics.t -> ?digest:(Event_query.atomic -> string) -> unit -> t
-(** [metrics] registers the [alpha.*] cells below on the given
-    registry.  [digest] overrides the structural key function — only
+(** [metrics] registers the [alpha.*] cells below in an existing
+    registry (e.g. the owning engine's) instead of a private one.
+    [digest] overrides the structural key function — only
     for tests that force digest collisions to exercise the in-bucket
     structural-equality verification; production callers use the
     default ({!Event_query.atomic_digest}). *)
@@ -68,20 +69,15 @@ val subscribe : t -> Event_query.atomic -> Incremental.atom_matcher
     {!Incremental.create} / {!Deductive_event.compile} when the handle
     is not needed (the network lives and dies with the engine). *)
 
-(** {1 Observability}
+(** {1 Observability} *)
 
-    Also exported as [alpha.nodes], [alpha.registrations],
-    [alpha.evaluations], [alpha.hits] and [alpha.fanout] cells when
-    [create] was given a metrics registry. *)
-
-type stats = {
-  distinct_nodes : int;  (** live shared nodes = distinct atomic patterns *)
-  registrations : int;  (** live subscriptions; [/ distinct_nodes] = sharing factor *)
-  evaluations : int;  (** real payload-matcher runs (memo misses) *)
-  hits : int;  (** matcher calls served from the memo *)
-  fanout : int;  (** substitutions delivered to subscribers, fresh + memoized *)
-}
-
-val stats : t -> stats
-(** Counters since [create]; the shared-node hit rate is
+val metrics : t -> Obs.Metrics.t
+(** The registry the network's cells live in (the one passed to
+    {!create}, or the private one): [alpha.nodes] (live shared nodes =
+    distinct atomic patterns), [alpha.registrations] (live
+    subscriptions; [/ alpha.nodes] = sharing factor),
+    [alpha.evaluations] (real payload-matcher runs, i.e. memo misses),
+    [alpha.hits] (matcher calls served from the memo) and
+    [alpha.fanout] (substitutions delivered to subscribers, fresh +
+    memoized).  The shared-node hit rate is
     [hits /. (hits + evaluations)]. *)

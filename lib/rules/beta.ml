@@ -55,6 +55,7 @@ end)
 
 type t = {
   net : Net.t;
+  m : Obs.Metrics.t;
   horizon : Clock.span option;
   index : bool;
   share_atoms : (Event_query.atomic -> Incremental.atom_matcher) option;
@@ -66,15 +67,10 @@ type t = {
 
 let enabled () = not Xchange_core.Escape.no_share
 
-let distinct_nodes t = Net.distinct t.net
-let registrations t = Net.registrations t.net
-
-let node_join_stats t =
+let join_stats t =
   Net.fold
     (fun n acc -> Incremental.sum_join_stats [ acc; Incremental.join_stats n.pipe ])
     t.net Incremental.zero_join_stats
-
-let join_stats = node_join_stats
 
 let live_instances t =
   Net.fold (fun n acc -> acc + Incremental.live_instances n.pipe) t.net 0
@@ -83,9 +79,11 @@ let default_digest (q, ctx) = Event_query.composite_digest ~ctx q
 
 let create ?metrics ?(digest = default_digest) ?horizon ?(index = true) ?share_atoms ()
     =
+  let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
     {
       net = Net.create ~name:"Beta" ~digest;
+      m;
       horizon;
       index;
       share_atoms;
@@ -95,20 +93,18 @@ let create ?metrics ?(digest = default_digest) ?horizon ?(index = true) ?share_a
       fanout = 0;
     }
   in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      Obs.Metrics.gauge_fn m "beta.nodes" (fun () -> float_of_int (distinct_nodes t));
-      Obs.Metrics.gauge_fn m "beta.registrations" (fun () ->
-          float_of_int (registrations t));
-      Obs.Metrics.counter_fn m "beta.steps" (fun () -> t.steps);
-      Obs.Metrics.counter_fn m "beta.hits" (fun () -> t.hits);
-      Obs.Metrics.counter_fn m "beta.fanout" (fun () -> t.fanout);
-      Obs.Metrics.counter_fn m "beta.pairs_probed" (fun () ->
-          (node_join_stats t).Incremental.pairs_probed);
-      Obs.Metrics.gauge_fn m "beta.live_instances" (fun () ->
-          float_of_int (live_instances t)));
+  Obs.Metrics.gauge_fn m "beta.nodes" (fun () -> float_of_int (Net.distinct t.net));
+  Obs.Metrics.gauge_fn m "beta.registrations" (fun () ->
+      float_of_int (Net.registrations t.net));
+  Obs.Metrics.counter_fn m "beta.steps" (fun () -> t.steps);
+  Obs.Metrics.counter_fn m "beta.hits" (fun () -> t.hits);
+  Obs.Metrics.counter_fn m "beta.fanout" (fun () -> t.fanout);
+  Obs.Metrics.counter_fn m "beta.pairs_probed" (fun () ->
+      (join_stats t).Incremental.pairs_probed);
+  Obs.Metrics.gauge_fn m "beta.live_instances" (fun () -> float_of_int (live_instances t));
   t
+
+let metrics t = t.m
 
 let begin_batch t = t.generation <- t.generation + 1
 
@@ -210,22 +206,3 @@ let subscribe t ~ctx q =
   else
     let _, rename = Event_query.canonicalize q in
     register t ~ctx q |> Option.map (fun node -> matcher t node ~rename)
-
-type stats = {
-  distinct_nodes : int;
-  registrations : int;
-  steps : int;
-  hits : int;
-  fanout : int;
-  pairs_probed : int;
-}
-
-let stats t =
-  {
-    distinct_nodes = distinct_nodes t;
-    registrations = registrations t;
-    steps = t.steps;
-    hits = t.hits;
-    fanout = t.fanout;
-    pairs_probed = (node_join_stats t).Incremental.pairs_probed;
-  }

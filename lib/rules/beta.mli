@@ -72,7 +72,9 @@ val create :
   ?share_atoms:(Event_query.atomic -> Incremental.atom_matcher) ->
   unit ->
   t
-(** [metrics] registers the [beta.*] cells below.  [digest] overrides
+(** [metrics] registers the [beta.*] cells below in an existing
+    registry (e.g. the owning engine's) instead of a private one.
+    [digest] overrides
     the structural key function — only for tests that force digest
     collisions to exercise the in-bucket structural-equality
     verification; production callers use the default
@@ -116,30 +118,24 @@ val subscribe : t -> ctx:Clock.span option -> Event_query.t -> Incremental.subtr
     {!Incremental.create} / {!Deductive_event.compile} when the handle
     is not needed (the network lives and dies with the engine). *)
 
-(** {1 Observability}
+(** {1 Observability} *)
 
-    Also exported as [beta.nodes], [beta.registrations], [beta.steps],
-    [beta.hits], [beta.fanout], [beta.pairs_probed] and
-    [beta.live_instances] cells when [create] was given a metrics
-    registry. *)
-
-type stats = {
-  distinct_nodes : int;  (** live shared pipelines = distinct subtrees *)
-  registrations : int;  (** live subscriptions; [/ distinct_nodes] = sharing factor *)
-  steps : int;  (** real pipeline steps (memo misses) *)
-  hits : int;  (** matcher calls served from the generation memo *)
-  fanout : int;  (** instances delivered to subscribers, fresh + memoized *)
-  pairs_probed : int;  (** join candidates enumerated inside shared pipelines *)
-}
-
-val stats : t -> stats
-(** Counters since [create]; the shared-step hit rate is
+val metrics : t -> Obs.Metrics.t
+(** The registry the network's cells live in (the one passed to
+    {!create}, or the private one): [beta.nodes] (live shared pipelines
+    = distinct subtrees), [beta.registrations] (live subscriptions;
+    [/ beta.nodes] = sharing factor), [beta.steps] (real pipeline
+    steps, i.e. memo misses), [beta.hits] (matcher calls served from
+    the generation memo), [beta.fanout] (instances delivered to
+    subscribers, fresh + memoized), [beta.pairs_probed] (join
+    candidates enumerated inside shared pipelines) and
+    [beta.live_instances].  The shared-step hit rate is
     [hits /. (hits + steps)]. *)
 
 val join_stats : t -> Incremental.join_stats
 (** Aggregated {!Xchange_event.Istore} counters across all shared
-    pipelines — add to {!Xchange_rules.Engine.join_stats} for the
-    whole-engine join picture (the private projections' stores are
+    pipelines — the engine adds them to its [engine.join.*] cells for
+    the whole-engine join picture (the private projections' stores are
     already counted there). *)
 
 val live_instances : t -> int

@@ -34,18 +34,7 @@ type firing = {
   outcome : Action.outcome;
 }
 
-type stats = {
-  mutable detections : int;
-  mutable condition_evaluations : int;
-  mutable firings : int;
-  mutable errors : int;
-}
-
-let fresh_stats () = { detections = 0; condition_evaluations = 0; firings = 0; errors = 0 }
-
-let fire ?stats ~env ~ops ~procs rule (detection : Instance.t) =
-  let bump f = match stats with Some s -> f s | None -> () in
-  bump (fun s -> s.detections <- s.detections + 1);
+let fire ?evaluations ~env ~ops ~procs rule (detection : Instance.t) =
   let subst = detection.Instance.subst in
   let run_action ~branch ~answer_subst ~answers action =
     (* sends the action performs emit their spans under this one, so the
@@ -59,13 +48,9 @@ let fire ?stats ~env ~ops ~procs rule (detection : Instance.t) =
     in
     let result = Action.exec ~env ~ops ~procs ~subst:answer_subst ~answers action in
     Obs.Trace.end_span span ~vt:(ops.Action.now ());
-    match result with
-    | Ok outcome ->
-        bump (fun s -> s.firings <- s.firings + 1);
-        Ok [ { rule = rule.name; branch; bindings = answer_subst; outcome } ]
-    | Error e ->
-        bump (fun s -> s.errors <- s.errors + 1);
-        Error e
+    Result.map
+      (fun outcome -> [ { rule = rule.name; branch; bindings = answer_subst; outcome } ])
+      result
   in
   let rec try_branches i = function
     | [] -> (
@@ -73,7 +58,7 @@ let fire ?stats ~env ~ops ~procs rule (detection : Instance.t) =
         | Some action -> [ run_action ~branch:None ~answer_subst:subst ~answers:[ subst ] action ]
         | None -> [])
     | b :: rest -> (
-        bump (fun s -> s.condition_evaluations <- s.condition_evaluations + 1);
+        Option.iter Obs.Metrics.Counter.incr evaluations;
         match Condition.eval env subst b.condition with
         | [] -> try_branches (i + 1) rest
         | answers ->

@@ -15,6 +15,7 @@
 
 open Xchange_query
 open Xchange_event
+open Xchange_obs
 
 type branch = { condition : Condition.t; action : Action.t }
 
@@ -55,17 +56,8 @@ type firing = {
   outcome : Action.outcome;
 }
 
-type stats = {
-  mutable detections : int;
-  mutable condition_evaluations : int;
-  mutable firings : int;
-  mutable errors : int;
-}
-
-val fresh_stats : unit -> stats
-
 val fire :
-  ?stats:stats ->
+  ?evaluations:Obs.Metrics.Counter.t ->
   env:Condition.env ->
   ops:Action.ops ->
   procs:(string -> Action.proc option) ->
@@ -73,6 +65,7 @@ val fire :
   Instance.t ->
   (firing list, string) result list
 (** Processes one detection of the rule's event query: branch selection,
-    condition evaluation (counted in [stats]) and action execution. *)
+    condition evaluation (one [evaluations] increment per branch
+    condition evaluated) and action execution. *)
 
 val pp : t Fmt.t

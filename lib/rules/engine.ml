@@ -7,10 +7,6 @@ type compiled = {
   rule : Eca.t;
   scope : Ruleset.scope;
   engine : Incremental.t;
-  stats : Eca.stats;
-  labels : string list option;
-      (** event labels the rule's query can react to; [None] = any
-          (some atomic sub-query has no label constraint) *)
 }
 
 type cells = {
@@ -19,14 +15,12 @@ type cells = {
   c_skipped : Obs.Metrics.Counter.t;
   c_advanced : Obs.Metrics.Counter.t;
   c_seen : Obs.Metrics.Counter.t;
+  c_conditions : Obs.Metrics.Counter.t;
 }
 
 type t = {
   root : Ruleset.t;
   compiled : compiled array;  (** in declaration order *)
-  by_label : (string, int list) Hashtbl.t;
-      (** event label -> indices of rules that can react, ascending *)
-  wildcard : int list;  (** rules reacting to any label ([labels = None]) *)
   clocked : int list;
       (** rules that see every input, ascending: those whose engine
           {!Incremental.observes_time} (absence timers, horizon-pruned
@@ -34,19 +28,16 @@ type t = {
   sub : int Sub_index.t option;
       (** every rule atom registered by (label, payload fingerprint);
           [Some] iff [index] and the sub-index is enabled — dispatch then
-          refutes rules whose atom patterns cannot match the payload,
-          not just label mismatches *)
-  alpha : Alpha.t option;
-      (** the shared alpha network every rule's atomic matchers (and the
-          derivation network's) are registered in; [None] under
-          [~share:false] / [XCHANGE_NO_SHARE=1] *)
+          refutes rules whose atom patterns cannot match the payload;
+          [None] reaches every rule *)
   beta : Beta.t option;
       (** the shared beta network every rule's composite subtrees (and
-          the derivation network's) register in; same lifecycle and
-          hatch as [alpha] *)
+          the derivation network's) register in; [None] under
+          [~share:false] / [XCHANGE_NO_SHARE=1].  The alpha network it
+          shares atoms through lives in the rules' matchers. *)
   derivation : Deductive_event.t;
-  index : bool;
-  subindex : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
+  horizon : Clock.span option;  (** as requested at [create] (kept for {!load_ruleset}) *)
+  index : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
   share : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
   fresh_event_id : (unit -> int) option;
       (** derived-event id allocator (kept for {!load_ruleset}) *)
@@ -64,23 +55,9 @@ let join_stats t =
     :: (match t.beta with Some b -> Beta.join_stats b | None -> Incremental.zero_join_stats)
     :: Array.to_list (Array.map (fun cr -> Incremental.join_stats cr.engine) t.compiled))
 
-let total_condition_evaluations t =
-  Array.fold_left (fun acc cr -> acc + cr.stats.Eca.condition_evaluations) 0 t.compiled
-
 let live_instances t =
   Array.fold_left (fun acc cr -> acc + Incremental.live_instances cr.engine) 0 t.compiled
   + match t.beta with Some b -> Beta.live_instances b | None -> 0
-
-let rule_labels rule =
-  let atoms = Xchange_event.Event_query.atoms rule.Eca.event in
-  let rec collect acc = function
-    | [] -> Some (List.sort_uniq String.compare acc)
-    | (a : Xchange_event.Event_query.atomic) :: rest -> (
-        match a.Xchange_event.Event_query.label with
-        | None -> None
-        | Some l -> collect (l :: acc) rest)
-  in
-  collect [] atoms
 
 let ( let* ) = Result.bind
 
@@ -121,8 +98,7 @@ let merge_sorted a b =
   in
   go a b []
 
-let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
-    ?(share = Alpha.enabled ()) ?fresh_event_id root =
+let create ?horizon ?(index = true) ?(share = Alpha.enabled ()) ?fresh_event_id root =
   let* () = Ruleset.validate root in
   let m = Obs.Metrics.create () in
   (* One alpha network per engine: every rule's atomic matchers — and
@@ -149,17 +125,7 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
             ~index ?share:share_hook ?share_sub:share_sub_hook rule.Eca.event
         with
         | Error e -> Error (Fmt.str "rule %s: %s" qualified e)
-        | Ok engine ->
-            Ok
-              ({
-                 qualified;
-                 rule;
-                 scope;
-                 engine;
-                 stats = Eca.fresh_stats ();
-                 labels = rule_labels rule;
-               }
-              :: acc))
+        | Ok engine -> Ok ({ qualified; rule; scope; engine } :: acc))
       (Ok []) (Ruleset.scoped_rules root)
   in
   (* every scope's visible views must be stratified *)
@@ -178,25 +144,11 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
       (Ruleset.all_event_rules root)
   in
   let compiled = Array.of_list (List.rev compiled) in
-  (* Discrimination structures: one hash lookup per event replaces the
-     per-event scan over all rules (Thesis 7: never re-scan). *)
-  let by_label = Hashtbl.create (max 16 (Array.length compiled)) in
-  let wildcard = ref [] and clocked = ref [] in
-  Array.iteri
-    (fun i cr ->
-      (match cr.labels with
-      | None -> wildcard := i :: !wildcard
-      | Some ls ->
-          List.iter
-            (fun l ->
-              let bucket =
-                match Hashtbl.find_opt by_label l with Some b -> b | None -> []
-              in
-              Hashtbl.replace by_label l (i :: bucket))
-            ls);
-      if Incremental.observes_time cr.engine then clocked := i :: !clocked)
-    compiled;
-  Hashtbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) by_label;
+  let clocked =
+    List.filter
+      (fun i -> Incremental.observes_time compiled.(i).engine)
+      (List.init (Array.length compiled) Fun.id)
+  in
   let proc_conds =
     List.concat_map
       (fun (_, (p : Action.proc)) -> Action.conditions p.Action.body)
@@ -212,14 +164,13 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
     | [] -> []  (* no timer can fire, so advancing needs no prefetch *)
     | timed -> deps_of timed
   in
-  let wildcard = List.rev !wildcard and clocked = List.rev !clocked in
-  (* The finer discrimination level: every atomic sub-query of every
-     rule, keyed by its event label and what its payload pattern
-     requires.  Feeding a refuted (rule, event) pair would be a no-op —
-     the atom's plan cannot match — so candidate selection is exact in
-     the same sense as the label buckets, just sharper. *)
+  (* Discrimination: every atomic sub-query of every rule, keyed by its
+     event label and what its payload pattern requires, so an event
+     touches only the rules that can react to it instead of the whole
+     rule base (Thesis 7: never re-scan).  Feeding a refuted (rule,
+     event) pair would be a no-op — the atom's plan cannot match. *)
   let sub =
-    if index && subindex then begin
+    if index && Sub_index.enabled () then begin
       let s = Sub_index.create ~metrics:m () in
       Array.iteri
         (fun i cr ->
@@ -236,15 +187,12 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
     {
       root;
       compiled;
-      by_label;
-      wildcard;
       clocked;
       sub;
-      alpha;
       beta;
       derivation;
+      horizon;
       index;
-      subindex;
       share;
       fresh_event_id;
       remote_deps;
@@ -257,16 +205,13 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
           c_skipped = Obs.Metrics.counter m "engine.rules_skipped";
           c_advanced = Obs.Metrics.counter m "engine.rules_advanced";
           c_seen = Obs.Metrics.counter m "engine.events_seen";
+          c_conditions = Obs.Metrics.counter m "engine.condition_evaluations";
         };
     }
   in
-  (* aggregates something else already owns (per-rule Eca stats, the
-     inner incremental engines): pull cells, sampled at snapshot time *)
+  (* aggregates the inner incremental engines already own: pull cells,
+     sampled at snapshot time *)
   Obs.Metrics.gauge_fn m "engine.live_instances" (fun () -> float_of_int (live_instances t));
-  Obs.Metrics.counter_fn m "engine.condition_evaluations" (fun () ->
-      total_condition_evaluations t);
-  Obs.Metrics.gauge_fn m "engine.dispatch_labels" (fun () ->
-      float_of_int (Hashtbl.length t.by_label));
   Obs.Metrics.counter_fn m "engine.join.probes" (fun () ->
       (join_stats t).Incremental.probes);
   Obs.Metrics.counter_fn m "engine.join.pairs_probed" (fun () ->
@@ -277,8 +222,8 @@ let create ?horizon ?(index = true) ?(subindex = Sub_index.enabled ())
       (join_stats t).Incremental.instances_pruned);
   Ok t
 
-let create_exn ?horizon ?index ?subindex ?share ?fresh_event_id root =
-  match create ?horizon ?index ?subindex ?share ?fresh_event_id root with
+let create_exn ?horizon ?index ?share ?fresh_event_id root =
+  match create ?horizon ?index ?share ?fresh_event_id root with
   | Ok t -> t
   | Error e -> invalid_arg ("Engine.create: " ^ e)
 
@@ -295,7 +240,7 @@ let empty_outcome = { firings = []; derived_events = []; errors = [] }
    processing order once per entry point. *)
 let finish acc = { acc with firings = List.rev acc.firings; errors = List.rev acc.errors }
 
-let fire_detections ~env ~ops cr detections acc =
+let fire_detections t ~env ~ops cr detections acc =
   List.fold_left
     (fun acc detection ->
       let span =
@@ -308,7 +253,7 @@ let fire_detections ~env ~ops cr detections acc =
       let scoped_env = Deductive.extend_env env (Ruleset.views_in_scope cr.scope) in
       let procs name = Ruleset.lookup_procedure cr.scope name in
       let results =
-        Eca.fire ~stats:cr.stats ~env:scoped_env ~ops ~procs cr.rule detection
+        Eca.fire ~evaluations:t.c.c_conditions ~env:scoped_env ~ops ~procs cr.rule detection
       in
       let acc =
         List.fold_left
@@ -322,28 +267,27 @@ let fire_detections ~env ~ops cr detections acc =
       acc)
     acc detections
 
-(* Rules an event can reach, ascending: with the sub-index, those with
-   an atom whose label and payload fingerprint the event satisfies;
-   with label dispatch, the event label's bucket plus the label-free
-   rules. *)
-let candidates t ev =
-  match t.sub with
-  | Some sub ->
-      List.sort_uniq Int.compare
-        (List.map snd (Sub_index.lookup sub ~label:ev.Event.label ev.Event.payload))
-  | None ->
-      merge_sorted t.wildcard
-        (Option.value ~default:[] (Hashtbl.find_opt t.by_label ev.Event.label))
+(* Rules an event can reach, ascending: those with an atom whose label
+   and payload fingerprint the event satisfies. *)
+let candidates sub ev =
+  List.sort_uniq Int.compare
+    (List.map snd (Sub_index.lookup sub ~label:ev.Event.label ev.Event.payload))
 
 (* The rules that see a batch of events, ascending (= declaration order,
    so firings come out exactly as the full scan produced them): the
    clocked rules plus every rule some event of the batch can reach.
    Each of them gets the whole batch, as under the full scan.  Every
    other rule would see only events its atoms cannot match, and its
-   engine does not observe time, so feeding it would change nothing. *)
+   engine does not observe time, so feeding it would change nothing.
+   Without the sub-index a batch reaches every rule (the full scan),
+   except that an empty one, a bare clock advance, reaches only the
+   clocked rules unless [~index:false]. *)
 let reached t batch =
-  if not t.index then List.init (Array.length t.compiled) Fun.id
-  else List.fold_left (fun acc ev -> merge_sorted acc (candidates t ev)) t.clocked batch
+  match (t.sub, batch) with
+  | Some sub, _ ->
+      List.fold_left (fun acc ev -> merge_sorted acc (candidates sub ev)) t.clocked batch
+  | None, [] when t.index -> t.clocked
+  | None, _ -> List.init (Array.length t.compiled) Fun.id
 
 let handle_event t ~env ~ops event =
   Obs.Metrics.Counter.incr t.c.c_seen;
@@ -383,7 +327,7 @@ let handle_event t ~env ~ops event =
                          ("count", string_of_int (List.length detections));
                        ]
                      ~name:"detect" ~vt:(ops.Action.now ()) ());
-              fire_detections ~env ~ops cr detections acc)
+              fire_detections t ~env ~ops cr detections acc)
             acc batch)
         { empty_outcome with derived_events = derived }
         visit
@@ -418,7 +362,7 @@ let advance t ~env ~ops time =
             Incremental.advance_to cr.engine time
           end
         in
-        fire_detections ~env ~ops cr (timed @ fed) acc)
+        fire_detections t ~env ~ops cr (timed @ fed) acc)
       { empty_outcome with derived_events = derived }
       (reached t derived)
   in
@@ -426,20 +370,12 @@ let advance t ~env ~ops time =
 
 let load_ruleset t incoming =
   let merged = { t.root with Ruleset.children = t.root.Ruleset.children @ [ incoming ] } in
-  create ~index:t.index ~subindex:t.subindex ~share:t.share
-    ?fresh_event_id:t.fresh_event_id merged
+  create ?horizon:t.horizon ~index:t.index ~share:t.share ?fresh_event_id:t.fresh_event_id
+    merged
 
 let ruleset t = t.root
 let rule_names t = Array.to_list (Array.map (fun cr -> cr.qualified) t.compiled)
-let stats t = Array.to_list (Array.map (fun cr -> (cr.qualified, cr.stats)) t.compiled)
-let events_seen t = Obs.Metrics.Counter.value t.c.c_seen
 let metrics t = t.m
-
-let dispatch_labels t = Hashtbl.length t.by_label
-let subindex_stats t = Option.map Sub_index.stats t.sub
-let alpha_stats t = Option.map Alpha.stats t.alpha
-let beta_stats t = Option.map Beta.stats t.beta
-let beta_join_stats t = Option.map Beta.join_stats t.beta
 let remote_resources t = t.remote_deps
 let clocked_remote_resources t = t.clocked_remote_deps
 

@@ -20,7 +20,6 @@ type t
 val create :
   ?horizon:Clock.span ->
   ?index:bool ->
-  ?subindex:bool ->
   ?share:bool ->
   ?fresh_event_id:(unit -> int) ->
   Ruleset.t ->
@@ -29,23 +28,20 @@ val create :
     calls), every rule's event query, and the (non-recursive) event
     derivation program, then compiles one incremental engine per rule.
 
-    [index] (default true) dispatches events through a precomputed
-    [label -> rules] hash table (plus a wildcard bucket for rules
-    without a label constraint): an event only touches rules that can
-    react to it, instead of scanning the whole rule base.  A rule whose
-    query names only other labels is not fed the event, unless its
-    engine observes time ({!Incremental.observes_time}: absence timers,
-    horizon-pruned or accumulated join state).  Such {e clocked} rules
-    see every input, as under the full scan.  [~index:false] is that
-    full scan: every rule sees every input.
-
-    [subindex] (default: on unless [XCHANGE_NO_SUBINDEX=1]; only
-    meaningful with [index]) replaces the flat label buckets with a
-    shared {!Sub_index} over every rule atom: an event reaches only
-    rules with an atom whose label {e and} payload fingerprint it can
-    satisfy, so rules refuted by the published term's shape are never
-    visited.  Outcomes are identical across all three modes
-    (property-tested); disable them only for that comparison.
+    Dispatch has two paths.  By default every rule atom is registered
+    in a shared {!Sub_index}: an event reaches only rules with an atom
+    whose label {e and} payload fingerprint it can satisfy, plus the
+    rules whose engine observes time ({!Incremental.observes_time}:
+    absence timers, horizon-pruned or accumulated join state).  Such
+    {e clocked} rules see every input, as under the full scan.  The
+    other path is the full scan itself, the oracle: every event batch
+    reaches every rule.  [~index:false] selects it, and so does
+    [XCHANGE_NO_SUBINDEX=1] (see {!Sub_index.enabled}), except that
+    under the hatch a bare clock advance still moves only the clocked
+    rules.  [index] (default true) also selects the hash-partitioned
+    join stores of the inner engines; [~index:false] falls back to
+    nested-loop joins.  Outcomes are identical on both paths
+    (property-tested); use the scan only for that comparison.
 
     [share] (default: on unless [XCHANGE_NO_SHARE=1]) deduplicates
     rule evaluation across the whole rule base through two shared
@@ -70,7 +66,6 @@ val create :
 val create_exn :
   ?horizon:Clock.span ->
   ?index:bool ->
-  ?subindex:bool ->
   ?share:bool ->
   ?fresh_event_id:(unit -> int) ->
   Ruleset.t ->
@@ -85,7 +80,8 @@ type outcome = {
 val handle_event : t -> env:Condition.env -> ops:Action.ops -> Event.t -> outcome
 (** Feeds the event, then the events the derivation network derives
     from it, to the rules this batch reaches: the clocked rules plus the
-    candidates of any event in the batch.  Each reached rule gets the
+    candidates of any event in the batch (every rule on the full
+    scan).  Each reached rule gets the
     whole batch, in ascending rule order, so firings come out as under
     the full scan.  The other rules are skipped; their feeds would be
     no-ops.  [engine.rules_fed] and [engine.rules_skipped] count both
@@ -104,18 +100,12 @@ val advance : t -> env:Condition.env -> ops:Action.ops -> Clock.time -> outcome
 val load_ruleset : t -> Ruleset.t -> (t, string) result
 (** Meta-programming support (Thesis 11): a new rule set received as a
     message is merged as a child of the engine's root rule set; the
-    result is a fresh engine sharing no event state with [t].  Existing
-    compiled state of [t] is unaffected. *)
+    result is a fresh engine sharing no event state with [t], created
+    with [t]'s [horizon], [index], [share] and [fresh_event_id].
+    Existing compiled state of [t] is unaffected. *)
 
 val ruleset : t -> Ruleset.t
 val rule_names : t -> string list
-val stats : t -> (string * Eca.stats) list
-val total_condition_evaluations : t -> int
-val live_instances : t -> int
-(** Stored partial matches across all rules plus the shared beta
-    pipelines (Thesis 4 memory proxy). *)
-
-val events_seen : t -> int
 
 (** {1 Scheduler integration (Theses 2-3, 10)}
 
@@ -148,43 +138,20 @@ val metrics : t -> Obs.Metrics.t
     [~index:false] except the last: [engine.dispatch_lookups] (event
     batches routed), [engine.rules_fed] ((rule, event) feeds),
     [engine.rules_skipped] (rules a batch did not reach) and
-    [engine.rules_advanced] (rules {!advance} moved the clock of).  Also
-    [engine.events_seen], plus pull cells sampling the per-rule and
-    join-level aggregates ([engine.live_instances],
-    [engine.condition_evaluations], [engine.join.*]).  When tracing is
-    on ({!Obs.set_enabled}), {!handle_event} also emits an [event] span
-    with nested [detect] / [firing] spans per reacting rule. *)
-
-val join_stats : t -> Incremental.join_stats
-(** Join-level counters summed over every compiled rule engine, the
-    event-derivation network and the shared beta pipelines:
-    hash-partition probes, candidate pairs enumerated vs skipped,
-    instances pruned by window/horizon retention.  [index] also selects
-    the storage mode of these inner engines (hash-partitioned vs
-    nested-loop joins), so comparing [join_stats] across the two modes
-    measures the composite-event hot path in isolation — and comparing
-    [pairs_probed] across [~share] modes measures the cross-rule join
-    sharing (BENCH_rules' composite sweep). *)
-
-val dispatch_labels : t -> int
-(** Distinct labels in the dispatch table. *)
-
-val subindex_stats : t -> Sub_index.stats option
-(** Counters of the rule-atom sub-index ([None] when dispatch runs on
-    label buckets or a full scan).  Its cells also live in {!metrics}
-    under [subindex.*]. *)
-
-val alpha_stats : t -> Alpha.stats option
-(** Counters of the shared alpha network ([None] under [~share:false]):
-    distinct nodes vs registrations (the sharing factor), real
-    evaluations vs memo hits (the shared-node hit rate), and fanout.
-    Its cells also live in {!metrics} under [alpha.*]. *)
-
-val beta_stats : t -> Beta.stats option
-(** Counters of the shared beta network ([None] under [~share:false]):
-    distinct pipelines vs registrations, real pipeline steps vs memo
-    hits, fanout, and join pairs probed inside shared pipelines.  Its
-    cells also live in {!metrics} under [beta.*]. *)
-
-val beta_join_stats : t -> Incremental.join_stats option
-(** The shared-pipeline share of {!join_stats}, on its own. *)
+    [engine.rules_advanced] (rules {!advance} moved the clock of).
+    [engine.events_seen] counts {!handle_event} calls and
+    [engine.condition_evaluations] the rule branch conditions
+    evaluated.  Pull cells sample what the inner engines own:
+    [engine.live_instances] (stored partial matches across all rules
+    plus the shared beta pipelines, the Thesis 4 memory proxy) and
+    [engine.join.*] (probes, pairs probed and skipped, instances
+    pruned), summed over every rule engine, the event-derivation
+    network and the shared beta pipelines.  [index] also selects the
+    storage mode of the inner engines, so comparing [engine.join.*]
+    across the two modes measures the composite-event hot path in
+    isolation.  The shared networks register their [alpha.*] and
+    [beta.*] cells here ({!Alpha.metrics}, {!Beta.metrics}; absent
+    under [~share:false]) and the sub-index its [subindex.*] cells
+    ({!Sub_index.metrics}; absent on the full scan).  When tracing is
+    on ({!Obs.set_enabled}), {!handle_event} also emits an [event]
+    span with nested [detect] / [firing] spans per reacting rule. *)

@@ -3,14 +3,6 @@ open Xchange_obs
 
 type rule = { name : string; condition : Condition.t; action : Action.t }
 
-type stats = {
-  mutable cycles : int;
-  mutable condition_evaluations : int;
-  mutable condition_hits : int;
-  mutable firings : int;
-  mutable errors : int;
-}
-
 (* Shared-condition group: rules with structurally equal conditions
    evaluate once per cycle *generation* — any action execution bumps
    the generation, because an action may mutate the data a shared
@@ -66,15 +58,6 @@ let create ?(share = Alpha.enabled ()) rules =
   }
 
 let metrics t = t.m
-
-let stats t =
-  {
-    cycles = Obs.Metrics.Counter.value t.c_cycles;
-    condition_evaluations = Obs.Metrics.Counter.value t.c_evals;
-    condition_hits = Obs.Metrics.Counter.value t.c_hits;
-    firings = Obs.Metrics.Counter.value t.c_firings;
-    errors = Obs.Metrics.Counter.value t.c_errors;
-  }
 
 let poll ~env ~ops ~procs t =
   Obs.Metrics.Counter.incr t.c_cycles;

@@ -30,22 +30,10 @@ val create : ?share:bool -> rule list -> t
     unshared firings are therefore identical.  Per-rule [previous]
     answer sets (the transition semantics) stay private. *)
 
-type stats = {
-  mutable cycles : int;
-  mutable condition_evaluations : int;
-  mutable condition_hits : int;
-      (** evaluations served from a shared-condition group cache *)
-  mutable firings : int;
-  mutable errors : int;
-}
-
-val stats : t -> stats
-(** Legacy view built from the engine's {!Obs.Metrics} registry cells
-    at call time (a snapshot, not a live reference). *)
-
 val metrics : t -> Obs.Metrics.t
 (** The engine's registry: [production.cycles],
-    [production.condition_evaluations], [production.condition_hits],
+    [production.condition_evaluations], [production.condition_hits]
+    (evaluations served from a shared-condition group cache),
     [production.firings], [production.errors]. *)
 
 val poll :

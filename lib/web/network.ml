@@ -9,21 +9,7 @@ type fetch_policy = { timeout : Clock.span; retries : int }
 
 let default_fetch_policy = { timeout = 60; retries = 2 }
 
-type node_stats = {
-  mutable events_in : int;
-  mutable gets_in : int;
-  mutable responses_in : int;
-  mutable updates_in : int;
-  mutable deferred_events : int;
-  mutable fetches : int;
-  mutable fetch_retries : int;
-  mutable fetch_timeouts : int;
-  mutable fetches_completed : int;
-  mutable fetch_latency_total : Clock.span;
-  mutable fetch_latency_max : Clock.span;
-}
-
-(* Registry cells behind one host's legacy [node_stats] view; the
+(* One host's [node.*] cells, labelled with the host; the
    request-to-response latency histogram carries completion count, sum,
    and max in one cell. *)
 type host_cells = {
@@ -104,18 +90,6 @@ let hosts t = List.sort String.compare (Hashtbl.fold (fun h _ acc -> h :: acc) t
 let clock t = Sched.now t.parts.(0).sched
 let sched t = t.parts.(0).sched
 
-let sched_stats t =
-  Array.fold_left
-    (fun (acc : Sched.stats) p ->
-      let s = Sched.stats p.sched in
-      {
-        Sched.scheduled = acc.Sched.scheduled + s.Sched.scheduled;
-        executed = acc.Sched.executed + s.Sched.executed;
-        max_queue = max acc.Sched.max_queue s.Sched.max_queue;
-      })
-    { Sched.scheduled = 0; executed = 0; max_queue = 0 }
-    t.parts
-
 let transport_stats t =
   Transport.merge_stats (Array.to_list (Array.map (fun p -> Transport.stats p.transport) t.parts))
 
@@ -162,22 +136,6 @@ let cells_for (p : part) host =
       in
       Hashtbl.replace p.cells_by_host host c;
       c
-
-let node_stats t host =
-  let c = cells_for (part_of t host) host in
-  {
-    events_in = Obs.Metrics.Counter.value c.hc_events_in;
-    gets_in = Obs.Metrics.Counter.value c.hc_gets_in;
-    responses_in = Obs.Metrics.Counter.value c.hc_responses_in;
-    updates_in = Obs.Metrics.Counter.value c.hc_updates_in;
-    deferred_events = Obs.Metrics.Counter.value c.hc_deferred;
-    fetches = Obs.Metrics.Counter.value c.hc_fetches;
-    fetch_retries = Obs.Metrics.Counter.value c.hc_retries;
-    fetch_timeouts = Obs.Metrics.Counter.value c.hc_timeouts;
-    fetches_completed = Obs.Metrics.Histogram.count c.hc_rtt;
-    fetch_latency_total = int_of_float (Obs.Metrics.Histogram.sum c.hc_rtt);
-    fetch_latency_max = int_of_float (Obs.Metrics.Histogram.max c.hc_rtt);
-  }
 
 let snapshot_for (p : part) host =
   match Hashtbl.find_opt p.snapshots host with

@@ -49,25 +49,6 @@ val default_fetch_policy : fetch_policy
 (** [{ timeout = 60; retries = 2 }] — generous against the default
     5 ms link latency, tight enough that tests stay fast. *)
 
-(** Legacy per-node view: {!node_stats} builds this record from the
-    network's {!Obs.Metrics} registry cells at call time (a snapshot,
-    not a live reference). *)
-type node_stats = {
-  mutable events_in : int;  (** event messages delivered to this node *)
-  mutable gets_in : int;
-  mutable responses_in : int;
-  mutable updates_in : int;
-  mutable deferred_events : int;
-      (** deliveries held back behind remote prefetch round-trips *)
-  mutable fetches : int;  (** round-trips started by this node *)
-  mutable fetch_retries : int;
-  mutable fetch_timeouts : int;  (** round-trips abandoned after retries *)
-  mutable fetches_completed : int;
-  mutable fetch_latency_total : Clock.span;
-      (** summed request-to-response time of completed fetches *)
-  mutable fetch_latency_max : Clock.span;
-}
-
 exception Causality of string
 (** Raised when a cross-partition delivery lands behind its destination
     clock — only possible when an explicit [?lookahead] overstates a
@@ -116,20 +97,21 @@ val sched : t -> Sched.t
     runs (local occurrences on any timeline order before deliveries at
     the same instant). *)
 
-val sched_stats : t -> Sched.stats
-(** Summed over partitions ([max_queue] is the per-partition maximum). *)
-
 val transport_stats : t -> Transport.stats
 (** Summed over partition transports. *)
-
-val node_stats : t -> string -> node_stats
-(** Counters for one host (zeroes for a host that has no traffic yet). *)
 
 val metrics : t -> Obs.Metrics.t
 (** Partition 0's network-layer registry (the only one when
     sequential).  Host-scoped cells live in the owning partition's
     registry — see {!registry_for}; {!metrics_snapshot} merges them
-    all. *)
+    all.  Per host, labelled [("host", h)] and created on the host's
+    first traffic: [node.events_in] (event messages delivered),
+    [node.gets_in], [node.responses_in], [node.updates_in],
+    [node.deferred_events] (deliveries held back behind remote prefetch
+    round-trips), [node.fetches] (round-trips started),
+    [node.fetch_retries], [node.fetch_timeouts] (round-trips abandoned
+    after retries), and the [node.fetch_rtt_ms] summary of completed
+    round-trips (count, sum, max). *)
 
 val registry_for : t -> host:string -> Obs.Metrics.t
 (** The registry of the partition owning [host] — where cells that a
@@ -141,8 +123,9 @@ val metrics_snapshot : t -> Obs.Metrics.sample list
     network registries, plus every attached node's store and engine
     registries stamped with a [host] label.  Merging sums samples that
     agree on (name, labels), so partitioned and sequential runs emit
-    the same schema.  One schema for tests, bench artifacts, and the
-    CLI ([--metrics]). *)
+    the same schema — except that gauges sum too: [sched.max_queue] is
+    the sum of the per-partition high-water marks.  One schema for
+    tests, bench artifacts, and the CLI ([--metrics]). *)
 
 val metrics_json : t -> string
 (** {!metrics_snapshot} pretty-printed as JSON. *)

@@ -1,12 +1,6 @@
 open Xchange_event
 open Xchange_obs
 
-type stats = {
-  mutable scheduled : int;
-  mutable executed : int;
-  mutable max_queue : int;
-}
-
 (* Execution order within one instant.  [Local] occurrences (timers,
    tickers, timeouts, engine deadlines — everything this timeline
    scheduled for itself) keep their per-timeline sequence numbers.
@@ -164,10 +158,3 @@ let step t =
   | Some (key, e) ->
       exec t key e;
       true
-
-let stats t =
-  {
-    scheduled = Obs.Metrics.Counter.value t.c_scheduled;
-    executed = Obs.Metrics.Counter.value t.c_executed;
-    max_queue = int_of_float (Obs.Metrics.Gauge.value t.g_max_queue);
-  }

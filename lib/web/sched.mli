@@ -37,15 +37,6 @@ module Rank : sig
   val compare : t -> t -> int
 end
 
-type stats = {
-  mutable scheduled : int;  (** one-shot occurrences ever enqueued *)
-  mutable executed : int;  (** occurrences run (including ticker firings) *)
-  mutable max_queue : int;  (** high-water mark of the queue length *)
-}
-(** Legacy view: {!stats} builds this record from the scheduler's
-    {!Obs.Metrics} registry cells at call time (a snapshot, not a live
-    reference). *)
-
 val create : ?origin:Clock.time -> unit -> t
 
 val now : t -> Clock.time
@@ -104,9 +95,9 @@ val step : t -> bool
 (** Execute the earliest occurrence (advancing the clock to it);
     [false] when the queue is empty. *)
 
-val stats : t -> stats
-
 val metrics : t -> Obs.Metrics.t
-(** The scheduler's registry: [sched.scheduled], [sched.executed],
-    [sched.max_queue], plus pull gauges [sched.queue_length],
+(** The scheduler's registry: [sched.scheduled] (one-shot occurrences
+    ever enqueued), [sched.executed] (occurrences run, ticker firings
+    included), the [sched.max_queue] gauge (high-water mark of the
+    queue length), plus pull gauges [sched.queue_length],
     [sched.holding], and [sched.now]. *)

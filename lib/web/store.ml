@@ -455,27 +455,4 @@ let poll_watch t id : watch_status =
 
 let watch_count t = Hashtbl.length t.watches
 
-type stats = {
-  query_cache_hits : int;
-  query_cache_misses : int;
-  query_cache_evictions : int;
-  query_cache_entries : int;
-  index_builds : int;
-  index_invalidations : int;
-  live_indexes : int;
-  indexed_selects : int;
-}
-
-let stats t =
-  {
-    query_cache_hits = Lru.hits t.qcache;
-    query_cache_misses = Lru.misses t.qcache;
-    query_cache_evictions = Lru.evictions t.qcache;
-    query_cache_entries = Lru.length t.qcache;
-    index_builds = Obs.Metrics.Counter.value t.c_index_builds;
-    index_invalidations = Obs.Metrics.Counter.value t.c_index_invalidations;
-    live_indexes = Hashtbl.length t.indexes;
-    indexed_selects = Obs.Metrics.Counter.value t.c_indexed_selects;
-  }
-
 let index t name = index_for t name

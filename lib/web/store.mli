@@ -123,28 +123,13 @@ val index : t -> string -> Term_index.t option
 (** The (lazily built) index of the document's current version; [None]
     if the document does not exist. *)
 
-type stats = {
-  query_cache_hits : int;
-  query_cache_misses : int;
-  query_cache_evictions : int;
-  query_cache_entries : int;
-  index_builds : int;
-  index_invalidations : int;
-  live_indexes : int;
-  indexed_selects : int;
-      (** update-selector evaluations that pruned through a live index *)
-}
-
-val stats : t -> stats
-(** Counters since [create] (observability for E-experiments).  A
-    snapshot built from the store's {!Obs.Metrics} registry cells and
-    the LRU's own counters at call time. *)
-
 val metrics : t -> Obs.Metrics.t
-(** The store's registry: [store.index_builds],
-    [store.index_invalidations], [store.indexed_selects], plus pull
-    cells sampling the query LRU ([store.query_cache_*]) and
-    [store.live_indexes]. *)
+(** The store's registry, counting since [create]:
+    [store.index_builds], [store.index_invalidations],
+    [store.indexed_selects] (update-selector evaluations that pruned
+    through a live index), [store.dynamic_answers], plus pull cells
+    sampling the query LRU ([store.query_cache_hits], [_misses],
+    [_evictions], [_entries]) and [store.live_indexes]. *)
 
 (** {1 Snapshots} — the persistent side of a node, as one data term
     (documents and RDF graphs; watches are runtime state and are not

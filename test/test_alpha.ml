@@ -2,14 +2,19 @@
    "Cross-rule sharing"): deduplicating atomic matchers across the rule
    base — and memoizing their runs — may never change which rules fire,
    with which bindings, in which order.  Shared and unshared engines are
-   compared end to end under every dispatch mode; unit pins cover the
+   compared end to end under both dispatch paths; unit pins cover the
    sharing mechanics themselves (digest canonicality, collision safety,
    fanout accounting, node shedding on rule removal, and the production
    engine's generation-guarded condition cache). *)
 
 open Xchange
 
-(* ---- Engine: shared alpha = per-rule matchers, all dispatch modes ---- *)
+(* A registry's cells at this instant: name -> value, 0 when absent. *)
+let cells m =
+  let samples = Obs.Metrics.snapshot m in
+  fun name -> int_of_float (Obs.Metrics.total samples name)
+
+(* ---- Engine: shared alpha = per-rule matchers, both dispatch paths ---- *)
 
 let harness () =
   let store = Store.create () in
@@ -57,29 +62,26 @@ let shared_prop (queries, events) =
   else
     (* duplicate every query so the alpha network has atoms to share *)
     let rules = rules_of (valid @ valid) in
-    let run ~index ~subindex ~share =
-      let engine =
-        Engine.create_exn ~index ~subindex ~share (Ruleset.make ~rules "p")
-      in
+    let run ~index ~share =
+      let engine = Engine.create_exn ~index ~share (Ruleset.make ~rules "p") in
       let store, ops = harness () in
       let env = Store.env store in
       let outcomes = List.map (fun e -> Engine.handle_event engine ~env ~ops e) events in
       let closing = Engine.advance engine ~env ~ops (final_time events) in
       (outcomes @ [ closing ], Option.get (Store.doc store "/orders"))
     in
-    let oracle, doc_o = run ~index:false ~subindex:false ~share:false in
+    let oracle, doc_o = run ~index:false ~share:false in
     let same (a, da) =
       List.length a = List.length oracle
       && List.for_all2 outcome_equal a oracle
       && Term.equal da doc_o
     in
     List.for_all
-      (fun (index, subindex) ->
-        same (run ~index ~subindex ~share:true)
-        || QCheck.Test.fail_reportf
-             "shared/unshared divergence (index=%b subindex=%b) on %d rules, %d events"
-             index subindex (List.length rules) (List.length events))
-      [ (false, false); (true, false); (true, true) ]
+      (fun index ->
+        same (run ~index ~share:true)
+        || QCheck.Test.fail_reportf "shared/unshared divergence (index=%b) on %d rules, %d events"
+             index (List.length rules) (List.length events))
+      [ false; true ]
 
 let queries_arb =
   QCheck.make
@@ -92,7 +94,8 @@ let stream_arb =
     (Gen.event_stream_gen ~labels:[ "a"; "b"; "c" ] ~max_len:20 ~max_gap:15)
 
 let prop_shared_modes =
-  QCheck.Test.make ~name:"Engine: shared alpha = per-rule matchers (all modes)" ~count:200
+  QCheck.Test.make ~name:"Engine: shared alpha = per-rule matchers (both dispatch paths)"
+    ~count:200
     (QCheck.pair queries_arb stream_arb)
     shared_prop
 
@@ -157,24 +160,24 @@ let test_sharing_and_fanout () =
   let m1 = Alpha.subscribe net a in
   let m2 = Alpha.subscribe net a in
   let m3 = Alpha.subscribe net a in
-  let s = Alpha.stats net in
-  Alcotest.(check int) "one node" 1 s.Alpha.distinct_nodes;
-  Alcotest.(check int) "three registrations" 3 s.Alpha.registrations;
+  let s = cells (Alpha.metrics net) in
+  Alcotest.(check int) "one node" 1 (s "alpha.nodes");
+  Alcotest.(check int) "three registrations" 3 (s "alpha.registrations");
   let e = ev (Term.elem "p" [ Term.text "v" ]) in
   let r1 = m1 e and r2 = m2 e and r3 = m3 e in
   Alcotest.(check bool) "same substitutions" true
     (List.equal Subst.equal r1 r2 && List.equal Subst.equal r2 r3);
   Alcotest.(check int) "one answer" 1 (List.length r1);
-  let s = Alpha.stats net in
-  Alcotest.(check int) "evaluated once" 1 s.Alpha.evaluations;
-  Alcotest.(check int) "served twice from memo" 2 s.Alpha.hits;
-  Alcotest.(check int) "fanout counts every delivery" 3 s.Alpha.fanout;
+  let s = cells (Alpha.metrics net) in
+  Alcotest.(check int) "evaluated once" 1 (s "alpha.evaluations");
+  Alcotest.(check int) "served twice from memo" 2 (s "alpha.hits");
+  Alcotest.(check int) "fanout counts every delivery" 3 (s "alpha.fanout");
   (* envelope mismatch is refuted before the memo: no counters move *)
   let off = Event.make ~occurred_at:2 ~label:"other" (Term.elem "p" [ Term.text "v" ]) in
   Alcotest.(check int) "wrong label rejected" 0 (List.length (m1 off));
-  let s = Alpha.stats net in
-  Alcotest.(check int) "no extra evaluation" 1 s.Alpha.evaluations;
-  Alcotest.(check int) "no extra hit" 2 s.Alpha.hits
+  let s = cells (Alpha.metrics net) in
+  Alcotest.(check int) "no extra evaluation" 1 (s "alpha.evaluations");
+  Alcotest.(check int) "no extra hit" 2 (s "alpha.hits")
 
 let test_collision_safety () =
   (* every atom hashes to the same bucket: structural equality inside
@@ -182,14 +185,14 @@ let test_collision_safety () =
   let net = Alpha.create ~digest:(fun _ -> "collide") () in
   let m_p = Alpha.subscribe net (atom ~label:"t" pat_x) in
   let m_q = Alpha.subscribe net (atom ~label:"t" (Qterm.el "q" [ Qterm.pos (Qterm.var "X") ])) in
-  let s = Alpha.stats net in
-  Alcotest.(check int) "collision keeps nodes distinct" 2 s.Alpha.distinct_nodes;
+  let s = cells (Alpha.metrics net) in
+  Alcotest.(check int) "collision keeps nodes distinct" 2 (s "alpha.nodes");
   let e = ev (Term.elem "p" [ Term.text "v" ]) in
   Alcotest.(check int) "p matches" 1 (List.length (m_p e));
   Alcotest.(check int) "q refutes" 0 (List.length (m_q e));
   (* and an equal atom still shares despite the collision *)
   let (_ : Incremental.atom_matcher) = Alpha.subscribe net (atom ~label:"t" pat_x) in
-  Alcotest.(check int) "still two nodes" 2 (Alpha.stats net).Alpha.distinct_nodes
+  Alcotest.(check int) "still two nodes" 2 (cells (Alpha.metrics net) "alpha.nodes")
 
 let test_memo_lru_retention () =
   (* the memo is a bounded LRU: a burst of fresh event ids past the cap
@@ -200,34 +203,36 @@ let test_memo_lru_retention () =
   let m = Alpha.subscribe net (atom ~label:"t" pat_x) in
   let hot = Event.make ~id:1000 ~occurred_at:1 ~label:"t" (Term.elem "p" [ Term.text "v" ]) in
   ignore (m hot);
-  Alcotest.(check int) "hot id evaluated once" 1 (Alpha.stats net).Alpha.evaluations;
+  Alcotest.(check int) "hot id evaluated once" 1 (cells (Alpha.metrics net) "alpha.evaluations");
   (* 100 distinct ids (cap is 64), touching the hot id every 10 *)
   for i = 1 to 100 do
     ignore (m (Event.make ~id:i ~occurred_at:2 ~label:"t" (Term.elem "p" [ Term.text "w" ])));
     if i mod 10 = 0 then ignore (m hot)
   done;
-  let evals = (Alpha.stats net).Alpha.evaluations in
+  let evals = cells (Alpha.metrics net) "alpha.evaluations" in
   Alcotest.(check int) "each fresh id evaluated exactly once" 101 evals;
   ignore (m hot);
-  Alcotest.(check int) "hot id survived the burst" evals (Alpha.stats net).Alpha.evaluations
+  Alcotest.(check int) "hot id survived the burst" evals
+    (cells (Alpha.metrics net) "alpha.evaluations")
 
 let test_release_sheds_nodes () =
   let net = Alpha.create () in
   let a = atom ~label:"t" pat_x in
   let h1 = Alpha.register net a in
   let h2 = Alpha.register net a in
-  Alcotest.(check int) "shared while alive" 1 (Alpha.stats net).Alpha.distinct_nodes;
+  Alcotest.(check int) "shared while alive" 1 (cells (Alpha.metrics net) "alpha.nodes");
   Alpha.release net h1;
-  Alcotest.(check int) "survives first release" 1 (Alpha.stats net).Alpha.distinct_nodes;
-  Alcotest.(check int) "registration count drops" 1 (Alpha.stats net).Alpha.registrations;
+  Alcotest.(check int) "survives first release" 1 (cells (Alpha.metrics net) "alpha.nodes");
+  Alcotest.(check int) "registration count drops" 1
+    (cells (Alpha.metrics net) "alpha.registrations");
   Alpha.release net h2;
-  Alcotest.(check int) "last release sheds the node" 0 (Alpha.stats net).Alpha.distinct_nodes;
+  Alcotest.(check int) "last release sheds the node" 0 (cells (Alpha.metrics net) "alpha.nodes");
   Alcotest.check_raises "double release rejected"
     (Invalid_argument "Alpha.release: handle already released") (fun () ->
       Alpha.release net h2);
   (* re-registering after shedding builds a fresh node *)
   let _ = Alpha.register net a in
-  Alcotest.(check int) "fresh node" 1 (Alpha.stats net).Alpha.distinct_nodes
+  Alcotest.(check int) "fresh node" 1 (cells (Alpha.metrics net) "alpha.nodes")
 
 (* ---- engine wiring: ECA and derivation atoms share one network ---- *)
 
@@ -248,27 +253,26 @@ let test_engine_alpha_stats () =
   let engine = Engine.create_exn ~share:true rs in
   let store, ops = harness () in
   let env = Store.env store in
-  (match Engine.alpha_stats engine with
-  | None -> Alcotest.fail "alpha network missing under ~share:true"
-  | Some s ->
-      (* 3 ECA atoms + 1 derivation atom, structurally identical *)
-      Alcotest.(check int) "one shared node" 1 s.Alpha.distinct_nodes;
-      Alcotest.(check int) "four registrations" 4 s.Alpha.registrations);
+  let s = cells (Engine.metrics engine) in
+  (* 3 ECA atoms + 1 derivation atom, structurally identical *)
+  Alcotest.(check int) "one shared node" 1 (s "alpha.nodes");
+  Alcotest.(check int) "four registrations" 4 (s "alpha.registrations");
   let outcome =
     Engine.handle_event engine ~env ~ops
       (Event.make ~occurred_at:1 ~label:"order" (Term.elem "p" [ Term.text "v" ]))
   in
   Alcotest.(check int) "all rules fired" 3 (List.length outcome.Engine.firings);
   Alcotest.(check int) "derivation ran" 1 (List.length outcome.Engine.derived_events);
-  (match Engine.alpha_stats engine with
-  | None -> assert false
-  | Some s ->
-      Alcotest.(check int) "occurrence evaluated once" 1 s.Alpha.evaluations;
-      Alcotest.(check int) "other subscribers served from memo" 3 s.Alpha.hits;
-      Alcotest.(check int) "fanout = one delivery per subscriber" 4 s.Alpha.fanout);
+  let s = cells (Engine.metrics engine) in
+  Alcotest.(check int) "occurrence evaluated once" 1 (s "alpha.evaluations");
+  Alcotest.(check int) "other subscribers served from memo" 3 (s "alpha.hits");
+  Alcotest.(check int) "fanout = one delivery per subscriber" 4 (s "alpha.fanout");
   (* the unshared engine reports no network at all *)
   let plain = Engine.create_exn ~share:false rs in
-  Alcotest.(check bool) "no stats unshared" true (Engine.alpha_stats plain = None)
+  Alcotest.(check bool) "no alpha cells unshared" false
+    (List.exists
+       (fun (x : Obs.Metrics.sample) -> String.starts_with ~prefix:"alpha." x.Obs.Metrics.name)
+       (Obs.Metrics.snapshot (Engine.metrics plain)))
 
 (* ---- production rules: generation-guarded condition cache ---- *)
 
@@ -308,19 +312,19 @@ let test_production_condition_cache () =
   (* cycle 2: nothing fresh, no action runs: the second rule is served
      from the shared group's cache *)
   Alcotest.(check int) "quiet cycle" 0 (List.length (poll ()));
-  let s = Production.stats engine in
-  Alcotest.(check int) "three evaluations" 3 s.Production.condition_evaluations;
-  Alcotest.(check int) "one cache hit" 1 s.Production.condition_hits;
-  Alcotest.(check int) "two firings" 2 s.Production.firings;
+  let s = cells (Production.metrics engine) in
+  Alcotest.(check int) "three evaluations" 3 (s "production.condition_evaluations");
+  Alcotest.(check int) "one cache hit" 1 (s "production.condition_hits");
+  Alcotest.(check int) "two firings" 2 (s "production.firings");
   (* unshared: same firings, every rule pays its own evaluation *)
   let plain = Production.create ~share:false rules in
   let store2, ops2 = production_harness () in
   let poll2 () = Production.poll ~env:(Store.env store2) ~ops:ops2 ~procs:no_procs plain in
   Alcotest.(check int) "unshared fires the same" 2 (List.length (poll2 ()));
   Alcotest.(check int) "unshared quiet cycle" 0 (List.length (poll2 ()));
-  let s2 = Production.stats plain in
-  Alcotest.(check int) "four evaluations" 4 s2.Production.condition_evaluations;
-  Alcotest.(check int) "no hits" 0 s2.Production.condition_hits
+  let s2 = cells (Production.metrics plain) in
+  Alcotest.(check int) "four evaluations" 4 (s2 "production.condition_evaluations");
+  Alcotest.(check int) "no hits" 0 (s2 "production.condition_hits")
 
 let test_production_share_equivalence () =
   (* rule [w] mutates what the shared condition reads; rule [r] polled

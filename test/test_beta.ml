@@ -11,7 +11,12 @@
 
 open Xchange
 
-(* ---- Engine: shared beta = per-rule pipelines, all dispatch modes ---- *)
+(* A registry's cells at this instant: name -> value, 0 when absent. *)
+let cells m =
+  let samples = Obs.Metrics.snapshot m in
+  fun name -> int_of_float (Obs.Metrics.total samples name)
+
+(* ---- Engine: shared beta = per-rule pipelines, both dispatch paths ---- *)
 
 let harness () =
   let store = Store.create () in
@@ -66,27 +71,26 @@ let shared_prop (queries, events) =
        back into each rule's own variable names *)
     let twins = List.map (fun q -> fst (Event_query.canonicalize q)) valid in
     let rules = rules_of (valid @ twins) in
-    let run ~index ~subindex ~share =
-      let engine = Engine.create_exn ~index ~subindex ~share (Ruleset.make ~rules "p") in
+    let run ~index ~share =
+      let engine = Engine.create_exn ~index ~share (Ruleset.make ~rules "p") in
       let store, ops = harness () in
       let env = Store.env store in
       let outcomes = List.map (fun e -> Engine.handle_event engine ~env ~ops e) events in
       let closing = Engine.advance engine ~env ~ops (final_time events) in
       (outcomes @ [ closing ], Option.get (Store.doc store "/orders"))
     in
-    let oracle, doc_o = run ~index:false ~subindex:false ~share:false in
+    let oracle, doc_o = run ~index:false ~share:false in
     let same (a, da) =
       List.length a = List.length oracle
       && List.for_all2 outcome_equal a oracle
       && Term.equal da doc_o
     in
     List.for_all
-      (fun (index, subindex) ->
-        same (run ~index ~subindex ~share:true)
-        || QCheck.Test.fail_reportf
-             "shared/unshared divergence (index=%b subindex=%b) on %d rules, %d events"
-             index subindex (List.length rules) (List.length events))
-      [ (false, false); (true, false); (true, true) ]
+      (fun index ->
+        same (run ~index ~share:true)
+        || QCheck.Test.fail_reportf "shared/unshared divergence (index=%b) on %d rules, %d events"
+             index (List.length rules) (List.length events))
+      [ false; true ]
 
 let queries_arb =
   QCheck.make
@@ -99,7 +103,8 @@ let stream_arb =
     (Gen.event_stream_gen ~labels:[ "a"; "b"; "c" ] ~max_len:20 ~max_gap:15)
 
 let prop_shared_modes =
-  QCheck.Test.make ~name:"Engine: shared beta = per-rule pipelines (all modes)" ~count:200
+  QCheck.Test.make ~name:"Engine: shared beta = per-rule pipelines (both dispatch paths)"
+    ~count:200
     (QCheck.pair queries_arb stream_arb)
     shared_prop
 
@@ -161,16 +166,16 @@ let test_sharing_and_fanout () =
   let net = Beta.create () in
   let m1 = Option.get (Beta.subscribe net ~ctx:None (pair_q "X" "Y")) in
   let m2 = Option.get (Beta.subscribe net ~ctx:None (pair_q "P" "Q")) in
-  let s = Beta.stats net in
-  Alcotest.(check int) "one node" 1 s.Beta.distinct_nodes;
-  Alcotest.(check int) "two registrations" 2 s.Beta.registrations;
+  let s = cells (Beta.metrics net) in
+  Alcotest.(check int) "one node" 1 (s "beta.nodes");
+  Alcotest.(check int) "two registrations" 2 (s "beta.registrations");
   Beta.begin_batch net;
   let ea = ev ~t:1 ~label:"a" (Term.text "x") in
   Alcotest.(check int) "half a pair (first asker)" 0 (List.length (m1 ea));
   Alcotest.(check int) "half a pair (memo)" 0 (List.length (m2 ea));
-  let s = Beta.stats net in
-  Alcotest.(check int) "stepped once" 1 s.Beta.steps;
-  Alcotest.(check int) "served once from memo" 1 s.Beta.hits;
+  let s = cells (Beta.metrics net) in
+  Alcotest.(check int) "stepped once" 1 (s "beta.steps");
+  Alcotest.(check int) "served once from memo" 1 (s "beta.hits");
   Beta.begin_batch net;
   let eb = ev ~t:2 ~label:"b" (Term.text "y") in
   let r1 = m1 eb and r2 = m2 eb in
@@ -180,17 +185,17 @@ let test_sharing_and_fanout () =
   let binding m i = Option.get (Subst.find m (List.hd i).Instance.subst) in
   Alcotest.(check bool) "renamed to X" true (Term.equal (binding "X" r1) (Term.text "x"));
   Alcotest.(check bool) "renamed to Q" true (Term.equal (binding "Q" r2) (Term.text "y"));
-  let s = Beta.stats net in
-  Alcotest.(check int) "stepped once per event" 2 s.Beta.steps;
-  Alcotest.(check int) "memo hit per event" 2 s.Beta.hits;
-  Alcotest.(check int) "fanout counts every delivered instance" 2 s.Beta.fanout;
+  let s = cells (Beta.metrics net) in
+  Alcotest.(check int) "stepped once per event" 2 (s "beta.steps");
+  Alcotest.(check int) "memo hit per event" 2 (s "beta.hits");
+  Alcotest.(check int) "fanout counts every delivered instance" 2 (s "beta.fanout");
   (* re-asking within the batch is a memo hit, never a re-step (a
      re-step would double-apply the event to the shared join state) *)
   let r1' = m1 eb in
   Alcotest.(check int) "re-ask served" 1 (List.length r1');
-  let s = Beta.stats net in
-  Alcotest.(check int) "no extra step" 2 s.Beta.steps;
-  Alcotest.(check int) "extra hit" 3 s.Beta.hits
+  let s = cells (Beta.metrics net) in
+  Alcotest.(check int) "no extra step" 2 (s "beta.steps");
+  Alcotest.(check int) "extra hit" 3 (s "beta.hits")
 
 (* ---- digest collisions ------------------------------------------------ *)
 
@@ -203,7 +208,7 @@ let test_collision_safety () =
   let m_seq =
     Option.get (Beta.subscribe net ~ctx:None (Event_query.seq [ on_ "b" "X"; on_ "a" "Y" ]))
   in
-  Alcotest.(check int) "collision keeps nodes distinct" 2 (Beta.stats net).Beta.distinct_nodes;
+  Alcotest.(check int) "collision keeps nodes distinct" 2 (cells (Beta.metrics net) "beta.nodes");
   Beta.begin_batch net;
   ignore (m_and (ev ~t:1 ~label:"a" (Term.text "x")));
   ignore (m_seq (ev ~t:1 ~label:"a" (Term.text "x")));
@@ -216,7 +221,7 @@ let test_collision_safety () =
   let (_ : Incremental.subtree_matcher) =
     Option.get (Beta.subscribe net ~ctx:None (pair_q "P" "Q"))
   in
-  Alcotest.(check int) "still two nodes" 2 (Beta.stats net).Beta.distinct_nodes
+  Alcotest.(check int) "still two nodes" 2 (cells (Beta.metrics net) "beta.nodes")
 
 (* ---- node shedding ---------------------------------------------------- *)
 
@@ -224,17 +229,17 @@ let test_release_sheds_nodes () =
   let net = Beta.create () in
   let h1 = Option.get (Beta.register net ~ctx:None (pair_q "X" "Y")) in
   let h2 = Option.get (Beta.register net ~ctx:None (pair_q "P" "Q")) in
-  Alcotest.(check int) "shared while alive" 1 (Beta.stats net).Beta.distinct_nodes;
+  Alcotest.(check int) "shared while alive" 1 (cells (Beta.metrics net) "beta.nodes");
   Beta.release net h1;
-  Alcotest.(check int) "survives first release" 1 (Beta.stats net).Beta.distinct_nodes;
-  Alcotest.(check int) "registration count drops" 1 (Beta.stats net).Beta.registrations;
+  Alcotest.(check int) "survives first release" 1 (cells (Beta.metrics net) "beta.nodes");
+  Alcotest.(check int) "registration count drops" 1 (cells (Beta.metrics net) "beta.registrations");
   Beta.release net h2;
-  Alcotest.(check int) "last release sheds the node" 0 (Beta.stats net).Beta.distinct_nodes;
+  Alcotest.(check int) "last release sheds the node" 0 (cells (Beta.metrics net) "beta.nodes");
   Alcotest.check_raises "double release rejected"
     (Invalid_argument "Beta.release: handle already released") (fun () ->
       Beta.release net h2);
   let _ = Beta.register net ~ctx:None (pair_q "X" "Y") in
-  Alcotest.(check int) "fresh node after shedding" 1 (Beta.stats net).Beta.distinct_nodes
+  Alcotest.(check int) "fresh node after shedding" 1 (cells (Beta.metrics net) "beta.nodes")
 
 (* ---- engine wiring: ECA and derivation subtrees share one network ---- *)
 
@@ -255,26 +260,25 @@ let test_engine_beta_stats () =
   let engine = Engine.create_exn ~share:true rs in
   let store, ops = harness () in
   let env = Store.env store in
-  (match Engine.beta_stats engine with
-  | None -> Alcotest.fail "beta network missing under ~share:true"
-  | Some s ->
-      (* 3 ECA subtrees + 1 derivation subtree, all alpha-equivalent *)
-      Alcotest.(check int) "one shared pipeline" 1 s.Beta.distinct_nodes;
-      Alcotest.(check int) "four registrations" 4 s.Beta.registrations);
+  let s = cells (Engine.metrics engine) in
+  (* 3 ECA subtrees + 1 derivation subtree, all alpha-equivalent *)
+  Alcotest.(check int) "one shared pipeline" 1 (s "beta.nodes");
+  Alcotest.(check int) "four registrations" 4 (s "beta.registrations");
   ignore (Engine.handle_event engine ~env ~ops (ev ~t:1 ~label:"a" (Term.text "x")));
   let outcome = Engine.handle_event engine ~env ~ops (ev ~t:2 ~label:"b" (Term.text "y")) in
   Alcotest.(check int) "all rules fired" 3 (List.length outcome.Engine.firings);
   Alcotest.(check int) "derivation ran" 1 (List.length outcome.Engine.derived_events);
-  (match Engine.beta_stats engine with
-  | None -> assert false
-  | Some s ->
-      (* the rules [b] reaches also see the event it derives, as under
-         the full scan: three events, each stepped once *)
-      Alcotest.(check int) "each event stepped once" 3 s.Beta.steps;
-      Alcotest.(check int) "other subscribers served from memo" 8 s.Beta.hits);
+  let s = cells (Engine.metrics engine) in
+  (* the rules [b] reaches also see the event it derives, as under the
+     full scan: three events, each stepped once *)
+  Alcotest.(check int) "each event stepped once" 3 (s "beta.steps");
+  Alcotest.(check int) "other subscribers served from memo" 8 (s "beta.hits");
   (* the unshared engine reports no network at all *)
   let plain = Engine.create_exn ~share:false rs in
-  Alcotest.(check bool) "no stats unshared" true (Engine.beta_stats plain = None)
+  Alcotest.(check bool) "no beta cells unshared" false
+    (List.exists
+       (fun (x : Obs.Metrics.sample) -> String.starts_with ~prefix:"beta." x.Obs.Metrics.name)
+       (Obs.Metrics.snapshot (Engine.metrics plain)))
 
 (* ---- consumption through the shared pipeline -------------------------- *)
 

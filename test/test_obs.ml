@@ -190,12 +190,44 @@ let prop_tracing_transparent =
         QCheck.Test.fail_report "traced run retained no spans";
       f_off = f_on && String.equal out_off out_on && logs_off = logs_on)
 
-(* ---- legacy stats shims report the registry cells ---- *)
+(* ---- every cell the end-to-end bench reads is registered ---- *)
 
-let test_shim_equivalence () =
-  let f_off, _, _, _ = run_pair_scenario ~traced:false [ (true, 1); (false, 1) ] in
-  Alcotest.(check int) "scenario fires" 1 f_off;
-  (* re-run keeping the network in scope for the snapshot *)
+(* The cell names bench/e2e/layers.ml reads, by component, each with
+   whether it is expected in this run: a hatch that turns a component
+   off also removes its cells.  [Obs.Metrics.total] reads an absent
+   name as 0, so a renamed or deleted cell would silently zero a
+   per-layer metric; this list pins them. *)
+let bench_cells =
+  [
+    (true, [ "sched.executed"; "sched.max_queue" ]);
+    ( true,
+      [ "transport.messages"; "transport.bytes"; "transport.dropped"; "transport.duplicated" ] );
+    (true, [ "net.remote_fetches"; "net.fallback_misses" ]);
+    (true, [ "node.duplicate_events"; "node.events_in"; "node.firings" ]);
+    (not Escape.no_wal, [ "wal.appends"; "wal.snapshots"; "wal.bytes" ]);
+    ( true,
+      [
+        "engine.rules_fed";
+        "engine.rules_skipped";
+        "engine.join.pairs_probed";
+        "engine.live_instances";
+        "engine.condition_evaluations";
+      ] );
+    (not Escape.no_subindex, [ "subindex.candidates"; "subindex.lookups"; "subindex.refuted" ]);
+    (not Escape.no_share, [ "alpha.hits"; "alpha.evaluations" ]);
+    (not Escape.no_share, [ "beta.hits"; "beta.steps"; "beta.pairs_probed" ]);
+    ( true,
+      [
+        "store.query_cache_hits";
+        "store.query_cache_misses";
+        "store.indexed_selects";
+        "store.index_builds";
+        "store.index_invalidations";
+      ] );
+    (true, [ "query.plan_cache_hits"; "query.plan_cache_misses"; "query.fingerprint_pruned" ]);
+  ]
+
+let test_bench_cells_registered () =
   Message.reset_ids ();
   Event.reset_ids ();
   let node = node_exn ~host:"n.example" (pair_rules ()) in
@@ -211,24 +243,32 @@ let test_shim_equivalence () =
   let total = Obs.Metrics.total snap in
   let ts = Network.transport_stats net in
   Alcotest.(check (float 0.))
-    "transport.messages backs the stats shim"
+    "transport.messages backs Transport.stats"
     (float_of_int ts.Transport.messages) (total "transport.messages");
   Alcotest.(check (float 0.))
-    "transport.events backs the stats shim"
+    "transport.events backs Transport.stats"
     (float_of_int ts.Transport.events) (total "transport.events");
-  let ss = Network.sched_stats net in
-  Alcotest.(check (float 0.))
-    "sched.executed backs the stats shim"
-    (float_of_int ss.Sched.executed) (total "sched.executed");
   Alcotest.(check (float 0.))
     "node.firings backs the Node accessor"
     (float_of_int (Node.firings node)) (total "node.firings");
   Alcotest.(check (float 0.))
     "node.events_in counts the injected events" 2. (total "node.events_in");
   (* per-host label stamped onto the node's samples *)
-  match Obs.Metrics.find snap ~labels:[ ("host", "n.example") ] "node.firings" with
+  (match Obs.Metrics.find snap ~labels:[ ("host", "n.example") ] "node.firings" with
   | Some (Obs.Metrics.Int 1) -> ()
-  | _ -> Alcotest.fail "node samples carry the host label"
+  | _ -> Alcotest.fail "node samples carry the host label");
+  let registered =
+    List.map
+      (fun (s : Obs.Metrics.sample) -> s.Obs.Metrics.name)
+      (snap @ Obs.Metrics.snapshot Simulate.metrics)
+  in
+  List.iter
+    (fun (expected, names) ->
+      if expected then
+        List.iter
+          (fun name -> Alcotest.(check bool) (name ^ " registered") true (List.mem name registered))
+          names)
+    bench_cells
 
 let suite =
   ( "obs",
@@ -239,5 +279,6 @@ let suite =
       Alcotest.test_case "ring-buffer eviction" `Quick test_ring_eviction;
       Alcotest.test_case "disabled tracer is inert" `Quick test_disabled_is_free;
       QCheck_alcotest.to_alcotest prop_tracing_transparent;
-      Alcotest.test_case "legacy stats shims match the registry" `Quick test_shim_equivalence;
+      Alcotest.test_case "every cell the e2e bench reads exists" `Quick
+        test_bench_cells_registered;
     ] )

@@ -68,7 +68,7 @@ let prop_dedup =
     (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_bound 60) subst_gen))
     (fun l -> subst_sets_equal (Subst.dedup l) (List.sort_uniq Subst.compare l))
 
-(* ---- Engine: label-dispatched handle_event = full scan ---- *)
+(* ---- Engine: sub-index dispatch = full scan ---- *)
 
 let harness () =
   let store = Store.create () in
@@ -164,7 +164,6 @@ type case = {
   derivations : int;  (** how many of [derivation_rules] the program has *)
   horizon : Clock.span option;
   share : bool;
-  subindex : bool;
   script : step list;
 }
 
@@ -250,21 +249,21 @@ let script_gen =
 let case_gen =
   QCheck.Gen.(
     map3
-      (fun (queries, derivations) (horizon, share, subindex) script ->
-        { queries; derivations; horizon; share; subindex; script })
+      (fun (queries, derivations) (horizon, share) script ->
+        { queries; derivations; horizon; share; script })
       (pair
          (list_size (int_range 1 4)
             (frequency [ (4, Gen.event_query_gen); (1, accumulated_gen) ]))
          (int_bound 2))
-      (triple (opt (oneofl [ 20; 60 ])) bool bool)
+      (pair (opt (oneofl [ 20; 60 ])) bool)
       script_gen)
 
 let print_case c =
-  Fmt.str "queries:@.%a@.derivations: %d, horizon: %a, share: %b, subindex: %b@.script:@.%a"
+  Fmt.str "queries:@.%a@.derivations: %d, horizon: %a, share: %b@.script:@.%a"
     Fmt.(list ~sep:(any "@\n") Event_query.pp)
     c.queries c.derivations
     Fmt.(option ~none:(any "none") int)
-    c.horizon c.share c.subindex
+    c.horizon c.share
     Fmt.(
       list ~sep:(any "@\n") (fun ppf -> function
         | Feed e -> Event.pp ppf e | Advance t -> Fmt.pf ppf "advance %d" t))
@@ -294,7 +293,7 @@ let interleave_prop c =
           "p"
       in
       let engine =
-        Engine.create_exn ?horizon:c.horizon ~index ~subindex:c.subindex ~share:c.share ruleset
+        Engine.create_exn ?horizon:c.horizon ~index ~share:c.share ruleset
       in
       let store, ops = harness () in
       let env = Store.env store in
@@ -334,7 +333,6 @@ let test_accumulator_observes_time () =
       derivations = 0;
       horizon = None;
       share = true;
-      subindex = true;
       script =
         [
           feed 24 "b" (item [ Term.int 1 ]);
@@ -418,6 +416,11 @@ let test_lru () =
   Lru.clear l;
   Alcotest.(check int) "cleared" 0 (Lru.length l)
 
+(* A registry's cells at this instant: name -> value, 0 when absent. *)
+let cells m =
+  let samples = Obs.Metrics.snapshot m in
+  fun name -> int_of_float (Obs.Metrics.total samples name)
+
 let test_store_counters () =
   let s = Store.create () in
   Store.add_doc s "/d" (Term.elem "d" [ Term.elem "item" [ Term.text "x" ] ]);
@@ -426,27 +429,26 @@ let test_store_counters () =
   let r2 = Store.query s ~doc:"/d" q in
   Alcotest.(check bool) "hit = miss answers" true (subst_sets_equal r1 r2);
   Alcotest.(check int) "one answer" 1 (List.length r1);
-  let st = Store.stats s in
-  Alcotest.(check int) "one miss" 1 st.Store.query_cache_misses;
-  Alcotest.(check int) "one hit" 1 st.Store.query_cache_hits;
-  Alcotest.(check int) "one index built" 1 st.Store.index_builds;
-  Alcotest.(check int) "one live index" 1 st.Store.live_indexes;
+  let st = cells (Store.metrics s) in
+  Alcotest.(check int) "one miss" 1 (st "store.query_cache_misses");
+  Alcotest.(check int) "one hit" 1 (st "store.query_cache_hits");
+  Alcotest.(check int) "one index built" 1 (st "store.index_builds");
+  Alcotest.(check int) "one live index" 1 (st "store.live_indexes");
   (* a mutation invalidates the index and changes the digest key *)
   ignore
     (Store.apply s
        (Action.U_insert
           { doc = "/d"; selector = []; at = None; content = Term.elem "item" [ Term.text "y" ] }));
-  let st = Store.stats s in
-  Alcotest.(check bool) "invalidated" true (st.Store.index_invalidations >= 1);
-  Alcotest.(check int) "no live index" 0 st.Store.live_indexes;
+  let st = cells (Store.metrics s) in
+  Alcotest.(check bool) "invalidated" true (st "store.index_invalidations" >= 1);
+  Alcotest.(check int) "no live index" 0 (st "store.live_indexes");
   let r3 = Store.query s ~doc:"/d" q in
   Alcotest.(check int) "new version answers" 2 (List.length r3);
-  let st = Store.stats s in
-  Alcotest.(check int) "second miss" 2 st.Store.query_cache_misses;
-  Alcotest.(check int) "index rebuilt" 2 st.Store.index_builds
+  let st = cells (Store.metrics s) in
+  Alcotest.(check int) "second miss" 2 (st "store.query_cache_misses");
+  Alcotest.(check int) "index rebuilt" 2 (st "store.index_builds")
 
-let counter engine name =
-  int_of_float (Obs.Metrics.total (Obs.Metrics.snapshot (Engine.metrics engine)) name)
+let counter engine = cells (Engine.metrics engine)
 
 let test_engine_counters () =
   let rule l =
@@ -457,14 +459,21 @@ let test_engine_counters () =
   in
   let store, ops = harness () in
   let env = Store.env store in
-  Alcotest.(check int) "three dispatch labels" 3 (Engine.dispatch_labels engine);
   let outcome =
     Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:1 ~label:"a" (Term.text "x"))
   in
   Alcotest.(check int) "only r-a fires" 1 (List.length outcome.Engine.firings);
   Alcotest.(check int) "one lookup" 1 (counter engine "engine.dispatch_lookups");
-  Alcotest.(check int) "one rule fed" 1 (counter engine "engine.rules_fed");
-  Alcotest.(check int) "two rules skipped" 2 (counter engine "engine.rules_skipped")
+  if Sub_index.enabled () then begin
+    Alcotest.(check int) "three atoms indexed" 3 (counter engine "subindex.entries");
+    Alcotest.(check int) "one rule fed" 1 (counter engine "engine.rules_fed");
+    Alcotest.(check int) "two rules skipped" 2 (counter engine "engine.rules_skipped")
+  end
+  else begin
+    (* XCHANGE_NO_SUBINDEX=1: the full scan reaches every rule *)
+    Alcotest.(check int) "every rule fed" 3 (counter engine "engine.rules_fed");
+    Alcotest.(check int) "no rule skipped" 0 (counter engine "engine.rules_skipped")
+  end
 
 (* Engine work per advance follows the rules that observe time, not the
    rule count. *)
@@ -500,6 +509,35 @@ let test_advance_scales_with_clocked_rules () =
   Alcotest.(check int) "only the absence rule advanced" 1 (counter engine "engine.rules_advanced");
   Alcotest.(check int) "absence fired" 1 (List.length fired.Engine.firings)
 
+(* A rule set loaded at run time is compiled with the engine's horizon,
+   exactly as if the engine had been created on the merged rule set:
+   [a] at 0 has expired by the advance to 300, so [b] at 500 finds no
+   partner. *)
+let test_load_ruleset_keeps_horizon () =
+  let atom l = Event_query.on ~label:l (Qterm.el l [ Qterm.pos (Qterm.var "K") ]) in
+  let ab = Eca.make ~name:"ab" ~on:(Event_query.conj [ atom "a"; atom "b" ]) Action.Nop in
+  let extra = Ruleset.make ~rules:[ ab ] "extra" in
+  let run engine =
+    let store, ops = harness () in
+    let env = Store.env store in
+    let ev t l = Event.make ~occurred_at:t ~label:l (Term.elem l [ Term.text "k" ]) in
+    let a = Engine.handle_event engine ~env ~ops (ev 0 "a") in
+    let tick = Engine.advance engine ~env ~ops 300 in
+    let b = Engine.handle_event engine ~env ~ops (ev 500 "b") in
+    let fired = List.concat_map (fun (o : Engine.outcome) -> o.Engine.firings) [ a; tick; b ] in
+    let cell = counter engine in
+    (List.length fired, cell "engine.live_instances", cell "engine.rules_advanced")
+  in
+  let merged = run (Engine.create_exn ~horizon:100 (Ruleset.make ~children:[ extra ] "base")) in
+  let loaded =
+    run
+      (Result.get_ok
+         (Engine.load_ruleset (Engine.create_exn ~horizon:100 (Ruleset.make "base")) extra))
+  in
+  let fired, _, _ = merged in
+  Alcotest.(check int) "the horizon drops the stale partner" 0 fired;
+  Alcotest.(check (triple int int int)) "loaded = created on the merged rule set" merged loaded
+
 let suite =
   ( "perf-index",
     [
@@ -517,4 +555,6 @@ let suite =
       Alcotest.test_case "engine dispatch counters" `Quick test_engine_counters;
       Alcotest.test_case "advance touches only clocked rules" `Quick
         test_advance_scales_with_clocked_rules;
+      Alcotest.test_case "load_ruleset keeps the engine horizon" `Quick
+        test_load_ruleset_keeps_horizon;
     ] )

@@ -142,7 +142,8 @@ let test_engine_fires_and_updates () =
   Alcotest.(check int) "fired again" 1 (List.length outcome2.Engine.firings);
   Alcotest.(check int) "both rows" 2
     (List.length (Term.children (Option.get (Store.doc store "/orders"))));
-  Alcotest.(check int) "events seen" 2 (Engine.events_seen engine)
+  Alcotest.(check (float 0.)) "events seen" 2.
+    (Obs.Metrics.total (Obs.Metrics.snapshot (Engine.metrics engine)) "engine.events_seen")
 
 let test_engine_rejects_invalid () =
   let bad = Ruleset.make ~rules:[ call_rule "r" "ghost" ] "s" in

@@ -29,7 +29,8 @@ let test_sched_ordering () =
     (List.rev !order);
   Alcotest.(check int) "clock at end" 100 (Sched.now s);
   Alcotest.(check int) "nothing pending" 0 (Sched.pending s);
-  Alcotest.(check int) "all executed" 5 (Sched.stats s).Sched.executed
+  Alcotest.(check (float 0.)) "all executed" 5.
+    (Obs.Metrics.total (Obs.Metrics.snapshot (Sched.metrics s)) "sched.executed")
 
 let test_sched_cancellable () =
   let s = Sched.create () in
@@ -84,6 +85,14 @@ let probe_net ?faults () =
   Network.add_node_exn net data;
   (net, asker)
 
+(* One host's [node.*] cell: a counter's value, a summary's count (0
+   before the host's first traffic). *)
+let node_cell net host name =
+  match Obs.Metrics.find (Network.metrics_snapshot net) ~labels:[ ("host", host) ] name with
+  | Some (Obs.Metrics.Int n) -> n
+  | Some (Obs.Metrics.Summary { count; _ }) -> count
+  | Some (Obs.Metrics.Float _) | None -> 0
+
 (* the acceptance scenario: the first Response is lost; the fetch
    timeout retries the Get and the condition still gets its document *)
 let test_fetch_survives_dropped_response () =
@@ -105,9 +114,9 @@ let test_fetch_survives_dropped_response () =
   ignore (Network.run_until_quiet net ());
   Alcotest.(check (list string)) "condition answered despite the loss" [ "found ball" ]
     (Node.logs asker);
-  let ns = Network.node_stats net "asker.example" in
-  Alcotest.(check bool) "a retry happened" true (ns.Network.fetch_retries >= 1);
-  Alcotest.(check int) "exactly one completion" 1 ns.Network.fetches_completed;
+  let cell = node_cell net "asker.example" in
+  Alcotest.(check bool) "a retry happened" true (cell "node.fetch_retries" >= 1);
+  Alcotest.(check int) "exactly one completion" 1 (cell "node.fetch_rtt_ms");
   Alcotest.(check int) "the loss was accounted" 1 (Network.transport_stats net).Transport.dropped
 
 let test_fetch_gives_up_after_retries () =
@@ -123,9 +132,9 @@ let test_fetch_gives_up_after_retries () =
   Network.inject net ~to_:"asker.example" ~label:"probe" (Term.text "?");
   let finished_at = Network.run_until_quiet net () in
   Alcotest.(check (list string)) "condition evaluated as false" [] (Node.logs asker);
-  let ns = Network.node_stats net "asker.example" in
-  Alcotest.(check int) "abandoned after the last retry" 1 ns.Network.fetch_timeouts;
-  Alcotest.(check int) "initial attempt + both retries" 2 ns.Network.fetch_retries;
+  let cell = node_cell net "asker.example" in
+  Alcotest.(check int) "abandoned after the last retry" 1 (cell "node.fetch_timeouts");
+  Alcotest.(check int) "initial attempt + both retries" 2 (cell "node.fetch_retries");
   Alcotest.(check bool) "the miss is visible" true (Network.fallback_misses net >= 1);
   (* 3 timeouts of 60ms stacked on the probe delivery *)
   Alcotest.(check bool) "terminates" true (finished_at < 1000)

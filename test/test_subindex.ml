@@ -2,7 +2,8 @@
    "Subscription index"): candidate selection through the trie plus
    plan confirmation has to produce exactly the answers of a linear
    scan over every registration — under churn, under labels, and when
-   wired into [Pubsub.Registry] and [Engine] dispatch. *)
+   wired into [Pubsub.Registry].  [Engine] dispatch through the index
+   is pinned against the full scan in [test_perf_index.ml]. *)
 
 open Xchange
 
@@ -128,88 +129,6 @@ let prop_seeded =
                (fun (gi, ga) (wi, wa) -> gi = wi && subst_sets_equal ga wa)
                got want)
         probes)
-
-(* ---- Engine: sub-index dispatch = label buckets = full scan ---- *)
-
-let harness () =
-  let store = Store.create () in
-  Store.add_doc store "/orders" (Term.elem ~ord:Term.Unordered "orders" []);
-  let ops =
-    {
-      Action.update = (fun u -> Result.map fst (Store.apply store u));
-      txn_update = (fun u -> Result.map fst (Store.apply store u));
-      send = (fun ~recipient:_ ~label:_ ~ttl:_ ~delay:_ _ -> ());
-      log = (fun _ -> ());
-      now = (fun () -> 0);
-      checkpoint = (fun () -> fun () -> ());
-    }
-  in
-  (store, ops)
-
-let firing_equal (a : Eca.firing) (b : Eca.firing) =
-  String.equal a.Eca.rule b.Eca.rule
-  && a.Eca.branch = b.Eca.branch
-  && Subst.equal a.Eca.bindings b.Eca.bindings
-  && a.Eca.outcome = b.Eca.outcome
-
-let outcome_equal (a : Engine.outcome) (b : Engine.outcome) =
-  List.equal firing_equal a.Engine.firings b.Engine.firings
-  && List.length a.Engine.derived_events = List.length b.Engine.derived_events
-  && a.Engine.errors = b.Engine.errors
-
-let final_time events = List.fold_left (fun acc e -> max acc (Event.time e)) 0 events + 10_000
-
-let rules_of queries =
-  List.mapi
-    (fun i q ->
-      let name = Printf.sprintf "r%d" i in
-      let action = Action.insert ~doc:"/orders" (Construct.cel "row" [ Construct.ctext name ]) in
-      if i mod 2 = 0 then Eca.make ~name ~on:q action
-      else
-        Eca.make ~name ~on:q
-          ~if_:(Condition.In (Condition.Local "/orders", Qterm.el "row" []))
-          action)
-    queries
-
-let three_mode_prop (queries, events) =
-  let valid = List.filter (fun q -> Result.is_ok (Event_query.validate q)) queries in
-  if valid = [] then QCheck.assume_fail ()
-  else
-    let run ~index ~subindex =
-      let engine =
-        Engine.create_exn ~index ~subindex (Ruleset.make ~rules:(rules_of valid) "p")
-      in
-      let store, ops = harness () in
-      let env = Store.env store in
-      let outcomes = List.map (fun e -> Engine.handle_event engine ~env ~ops e) events in
-      let closing = Engine.advance engine ~env ~ops (final_time events) in
-      (outcomes @ [ closing ], Option.get (Store.doc store "/orders"))
-    in
-    let scan, doc_s = run ~index:false ~subindex:false in
-    let buckets, doc_b = run ~index:true ~subindex:false in
-    let sub, doc_sub = run ~index:true ~subindex:true in
-    let same (a, da) (b, db) =
-      List.length a = List.length b && List.for_all2 outcome_equal a b && Term.equal da db
-    in
-    if same (scan, doc_s) (buckets, doc_b) && same (scan, doc_s) (sub, doc_sub) then true
-    else
-      QCheck.Test.fail_reportf "dispatch-mode divergence on %d rules, %d events"
-        (List.length valid) (List.length events)
-
-let queries_arb =
-  QCheck.make
-    ~print:(fun qs -> Fmt.str "%a" Fmt.(list ~sep:cut Event_query.pp) qs)
-    QCheck.Gen.(list_size (int_range 1 4) Gen.event_query_gen)
-
-let stream_arb =
-  QCheck.make
-    ~print:(fun evs -> Fmt.str "%a" Fmt.(list ~sep:cut Event.pp) evs)
-    (Gen.event_stream_gen ~labels:[ "a"; "b"; "c" ] ~max_len:20 ~max_gap:15)
-
-let prop_three_modes =
-  QCheck.Test.make ~name:"Engine: sub-index = label buckets = full scan" ~count:200
-    (QCheck.pair queries_arb stream_arb)
-    three_mode_prop
 
 (* ---- Pubsub: attached registry = plain document path, rule-driven ---- *)
 
@@ -478,7 +397,6 @@ let suite =
     [
       QCheck_alcotest.to_alcotest ~long:true prop_churn;
       QCheck_alcotest.to_alcotest prop_seeded;
-      QCheck_alcotest.to_alcotest ~long:true prop_three_modes;
       QCheck_alcotest.to_alcotest prop_pubsub;
       Alcotest.test_case "wildcard-bucket routing" `Quick test_wildcard_routing;
       Alcotest.test_case "fingerprint refutation counters" `Quick test_fingerprint_refutation;
