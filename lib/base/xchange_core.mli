@@ -14,23 +14,33 @@ module Escape : sig
       consistent).  The value ["1"] (or any non-empty string other
       than ["0"]) disables the accelerated path.
 
+      The three oracle hatches ({!no_plan}, {!no_subindex},
+      {!no_share}) only set the default of one per-call argument, and
+      an explicit argument always wins.  Each is read at the named
+      sites and nowhere else.  {!no_par} and {!no_wal} override their
+      arguments instead.
+
       The full table lives in HACKING.md ("Escape hatches"); adding a
       hatch means adding it {b here} and in that table, nowhere else. *)
 
   val no_plan : bool
-  (** [XCHANGE_NO_PLAN=1]: route {!Xchange_query.Simulate} entry points
-      through the backtracking interpreter instead of compiled
-      {!Xchange_query.Plan} closures. *)
+  (** [XCHANGE_NO_PLAN=1]: default [?plan] of the
+      {!Xchange_query.Simulate} entry points (and
+      {!Xchange_query.Simulate.matcher}) to the backtracking
+      interpreter instead of compiled {!Xchange_query.Plan} closures. *)
 
   val no_subindex : bool
-  (** [XCHANGE_NO_SUBINDEX=1]: replace {!Xchange_query.Sub_index}
-      discrimination (publish dispatch, engine rule-atom candidate
-      selection) with the linear scan over all registrations. *)
+  (** [XCHANGE_NO_SUBINDEX=1]: default [?index] of
+      {!Xchange_rules.Engine.create} and
+      {!Xchange_web.Pubsub.subscribers} to [false], the full scans;
+      {!Xchange_web.Pubsub.Registry.attach} then installs no
+      answerer. *)
 
   val no_share : bool
-  (** [XCHANGE_NO_SHARE=1]: give every rule its own atomic event
-      matchers instead of deduplicating them through the shared alpha
-      network ({!Xchange_rules.Alpha}). *)
+  (** [XCHANGE_NO_SHARE=1]: default [?share] of
+      {!Xchange_rules.Engine.create} and
+      {!Xchange_rules.Production.create} to [false]: per-rule matchers,
+      join state and conditions instead of the shared networks. *)
 
   val no_par : bool
   (** [XCHANGE_NO_PAR=1]: force every {!Xchange_web.Network} onto the
@@ -51,11 +61,6 @@ module Escape : sig
       without an explicit [~domains] (read once at program start;
       [None] when unset or unparseable).  Not a hatch — it picks the
       degree of sharding, while {!no_par} picks the oracle. *)
-
-  val disabled : string -> bool
-  (** [disabled var] reads [var] from the environment {e now} with the
-      hatch convention above (unset/[""]/["0"] = off).  For hatches the
-      three cached flags don't cover; prefer the flags. *)
 
   val all : unit -> (string * bool * string) list
   (** [(variable, currently set, one-line description)] for every known

@@ -53,6 +53,3 @@ let find_equal t value =
     (fun acc path sub -> if Term.equal sub value then path :: acc else acc)
     [] t
   |> List.rev
-
-let digest_index t =
-  fold_with_paths (fun acc path sub -> (Term.digest sub, path) :: acc) [] t |> List.rev

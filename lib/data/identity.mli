@@ -34,7 +34,3 @@ val oids : Term.t -> (int * Path.t) list
 val find_equal : Term.t -> Term.t -> Path.t list
 (** Extensional lookup: paths of all subterms extensionally equal to the
     given value (Thesis 10's "identity = value" mode). *)
-
-val digest_index : Term.t -> (int64 * Path.t) list
-(** Digest of every subterm with its path, pre-order.  Basis for
-    extensional watch tables. *)

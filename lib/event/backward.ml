@@ -2,23 +2,12 @@ open Xchange_query
 
 let ( let* ) = Option.bind
 
-(* Atomic payload matching goes through the compiled-plan path: the plan
-   is fetched once per history sweep (one cache lookup), not once per
-   event, and falls back to the interpreter under [XCHANGE_NO_PLAN]. *)
+(* The payload matcher is fetched once per history sweep (one plan-cache
+   lookup), not once per event. *)
 let atomic_matcher (a : Event_query.atomic) =
-  let payload_matches =
-    match Simulate.plan a.Event_query.pattern with
-    | Some p -> Plan.matches p
-    | None -> Simulate.matches a.Event_query.pattern
-  in
+  let payload_matches = Simulate.matcher a.Event_query.pattern in
   fun e ->
-    let label_ok =
-      match a.Event_query.label with Some l -> String.equal l e.Event.label | None -> true
-    in
-    let sender_ok =
-      match a.Event_query.sender with Some s -> String.equal s e.Event.sender | None -> true
-    in
-    if not (label_ok && sender_ok) then []
+    if not (Incremental.envelope_ok a e) then []
     else
       payload_matches e.Event.payload
       |> List.map (fun subst -> Instance.atomic subst (Event.time e) e.Event.id)

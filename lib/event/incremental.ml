@@ -184,11 +184,7 @@ let rec build ?horizon ?share ?share_sub ~index ~ctx ~stored_bound ~key (q : Eve
     match share with
     | Some subscribe -> subscribe a
     | None ->
-        let payload_matches =
-          match Simulate.plan a.Event_query.pattern with
-          | Some p -> Plan.matches p
-          | None -> fun payload -> Simulate.matches a.Event_query.pattern payload
-        in
+        let payload_matches = Simulate.matcher a.Event_query.pattern in
         fun e ->
           if not (envelope_ok a e) then []
           else begin
@@ -649,7 +645,6 @@ type t = {
   observes_time : bool;
   mutable clock : Clock.time;
   mutable seen : int;
-  mutable reported : int;
 }
 
 let create ?(consume = false) ?(selection = Each) ?horizon ?(index = true) ?share
@@ -669,7 +664,6 @@ let create ?(consume = false) ?(selection = Each) ?horizon ?(index = true) ?shar
           observes_time = time_sensitive ?horizon q;
           clock = Clock.origin;
           seen = 0;
-          reported = 0;
         }
 
 let create_exn ?consume ?selection ?horizon ?index ?share ?share_sub q =
@@ -694,7 +688,6 @@ let create_sub ?horizon ?(index = true) ?share ~ctx q =
     observes_time = time_sensitive ?horizon q;
     clock = Clock.origin;
     seen = 0;
-    reported = 0;
   }
 
 let rec purge_ids node ids =
@@ -732,24 +725,20 @@ let select_and_consume t detections =
     | Last, ds ->
         [ List.fold_left (fun best d -> if Instance.compare d best > 0 then d else best) (List.hd ds) ds ]
   in
-  let picked =
-    if not t.consume then picked
-    else
-      (* consume left to right; drop detections sharing events with an
-         already-consumed one *)
-      List.fold_left
-        (fun kept d ->
-          let clashes = List.exists (fun k -> not (Instance.disjoint_ids k d)) kept in
-          if clashes then kept
-          else begin
-            purge_ids t.root d.Instance.ids;
-            d :: kept
-          end)
-        [] picked
-      |> List.rev
-  in
-  t.reported <- t.reported + List.length picked;
-  picked
+  if not t.consume then picked
+  else
+    (* consume left to right; drop detections sharing events with an
+       already-consumed one *)
+    List.fold_left
+      (fun kept d ->
+        let clashes = List.exists (fun k -> not (Instance.disjoint_ids k d)) kept in
+        if clashes then kept
+        else begin
+          purge_ids t.root d.Instance.ids;
+          d :: kept
+        end)
+      [] picked
+    |> List.rev
 
 (* The root is nobody's child, so nothing would ever read its store:
    [fresh_of], not [step], keeps it empty. *)
@@ -783,7 +772,6 @@ let rec count_node node =
 
 let live_instances t = count_node t.root
 let events_seen t = t.seen
-let detections_reported t = t.reported
 
 (* ---- join observability --------------------------------------------- *)
 

@@ -146,7 +146,6 @@ val live_instances : t -> int
     to read its detections back. *)
 
 val events_seen : t -> int
-val detections_reported : t -> int
 
 val next_deadline : t -> Clock.time option
 (** Earliest pending absence deadline, if any — the time by which

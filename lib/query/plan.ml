@@ -24,11 +24,6 @@ let compiled_count () = Counter.total c_compiled
 let fingerprint_pruned () = Counter.total c_fingerprint_pruned
 let arity_pruned () = Counter.total c_arity_pruned
 
-let reset_counters () =
-  Counter.reset c_compiled;
-  Counter.reset c_fingerprint_pruned;
-  Counter.reset c_arity_pruned
-
 (* ---- compile-time analysis ---------------------------------------- *)
 
 (* Selectivity of a child pattern, for most-selective-first ordering in

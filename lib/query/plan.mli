@@ -71,7 +71,7 @@ val holds : ?seed:Subst.t -> t -> Term.t -> bool
     compiled path is faster. *)
 
 val compiled_count : unit -> int
-(** Plans compiled since start (or the last reset). *)
+(** Plans compiled since start. *)
 
 val fingerprint_pruned : unit -> int
 (** Subtrees refuted by the required-label fingerprint check alone —
@@ -81,5 +81,3 @@ val fingerprint_pruned : unit -> int
 
 val arity_pruned : unit -> int
 (** Subtrees refuted by the required/total child-count bounds. *)
-
-val reset_counters : unit -> unit

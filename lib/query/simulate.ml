@@ -181,9 +181,10 @@ and match_children ~unordered ~total patterns data subst =
 (* The interpreter above stays the reference implementation; by default
    every entry point routes through a compiled {!Plan}, fetched from a
    bounded structural-keyed cache (rule programs evaluate the same
-   finite query set over and over).  [XCHANGE_NO_PLAN=1] (read once at
-   startup) or [~plan:false] per call restores the interpreter — the
-   escape hatch the differential property suite drives. *)
+   finite query set over and over).  [~plan:false] per call restores
+   the interpreter — the oracle the differential property suite drives;
+   [XCHANGE_NO_PLAN=1] (read once at startup, here and nowhere else)
+   makes it the default. *)
 
 (* Domain-local like the regex cache: plans are pure values compiled
    from pure values, so per-domain duplication costs only memory and
@@ -193,8 +194,6 @@ let plan_caches : (Qterm.t, Plan.t) Lru.t Xchange_core.Domain_local.t =
 
 let plan_default = not Xchange_core.Escape.no_plan
 
-let plan_enabled () = plan_default
-
 let plan_of q =
   let plan_cache = Xchange_core.Domain_local.get plan_caches in
   match Lru.find plan_cache q with
@@ -203,8 +202,6 @@ let plan_of q =
       let p = Plan.compile q in
       Lru.add plan_cache q p;
       p
-
-let plan q = if plan_default then Some (plan_of q) else None
 
 (* Query-layer observability: the plan cache and the plan work counters
    are process-global (queries are values, not component instances), so
@@ -229,6 +226,8 @@ let metrics =
 let matches ?(plan = plan_default) ?(seed = Subst.empty) q t =
   if plan then Plan.matches ~seed (plan_of q) t
   else Subst.dedup (match_term q t seed)
+
+let matcher q = if plan_default then Plan.matches (plan_of q) else matches ~plan:false q
 
 (* parents of the indexed label's occurrences, deduplicated (the root
    path [] has no parent and is dropped) *)

@@ -11,10 +11,12 @@
     routes every entry point through a compiled {!Plan} fetched from a
     bounded plan cache — same answers, with all per-visit query analysis
     hoisted to compile time plus fingerprint/arity pruning (see
-    {!Plan}).  Set [XCHANGE_NO_PLAN=1] in the environment (read once at
-    startup) or pass [~plan:false] to force the interpreter; the
+    {!Plan}).  Pass [~plan:false] to force the interpreter; the
     differential property suite ([test/test_plan.ml]) runs both paths
-    against each other.
+    against each other.  [XCHANGE_NO_PLAN=1] in the environment (read
+    once at startup) makes the interpreter the default of [?plan] and of
+    {!matcher}; an explicit [~plan] wins.  No other module chooses
+    between the two paths.
 
     Complexity: children matching is backtracking search; unordered /
     partial specifications are combinatorial in the worst case, which is
@@ -45,17 +47,15 @@ val holds : ?plan:bool -> ?seed:Subst.t -> Qterm.t -> Term.t -> bool
 
 (** {1 Compiled plans} *)
 
-val plan_enabled : unit -> bool
-(** Is compiled-plan routing on (i.e. [XCHANGE_NO_PLAN] unset)? *)
-
-val plan : Qterm.t -> Plan.t option
-(** The cached compiled plan for [q], or [None] when plan routing is
-    disabled.  Engines with a build phase (e.g.
-    {!Xchange_event.Incremental}) fetch the plan once at compile time
-    and skip the per-call cache lookup on their hot path. *)
+val matcher : Qterm.t -> Term.t -> Subst.set
+(** [matcher q] is [matches q] with the path chosen once: the cached
+    compiled plan, or the interpreter under [XCHANGE_NO_PLAN=1].
+    Engines with a build phase (e.g. {!Xchange_event.Incremental})
+    call it at compile time and skip the per-call cache lookup on their
+    hot path. *)
 
 val plan_of : Qterm.t -> Plan.t
-(** The cached compiled plan, regardless of the enable flag (ablation
+(** The cached compiled plan, regardless of [XCHANGE_NO_PLAN] (ablation
     and benchmarking). *)
 
 val metrics : Obs.Metrics.t

@@ -8,9 +8,6 @@
 open Xchange_data
 open Xchange_obs
 
-let enabled_default = not Xchange_core.Escape.no_subindex
-let enabled () = enabled_default
-
 (* ---- required-presence analysis ------------------------------------- *)
 
 (* What must any term matched by [q] (rooted, in the sense of

@@ -45,13 +45,6 @@ type 'a t
 (** A dynamic index of queries, each carrying a payload of type ['a]
     (a subscriber host, a rule number, ...). *)
 
-val enabled : unit -> bool
-(** [false] when [XCHANGE_NO_SUBINDEX=1] is set in the environment
-    (read once at startup) — consumers then fall back to their linear
-    reference paths, mirroring the [XCHANGE_NO_PLAN] escape hatch:
-    {!Xchange_rules.Engine} to the full scan over its rules,
-    {!Xchange_web.Pubsub} to the scan over its registrations. *)
-
 val create : ?metrics:Obs.Metrics.t -> unit -> 'a t
 (** [metrics] registers the index's [subindex.*] cells in an existing
     registry (e.g. the owning engine's) instead of a private one. *)

@@ -48,8 +48,6 @@ type t = {
   mutable fanout : int;
 }
 
-let enabled () = not Xchange_core.Escape.no_share
-
 let create ?metrics ?(digest = Event_query.atomic_digest) () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
@@ -65,18 +63,13 @@ let create ?metrics ?(digest = Event_query.atomic_digest) () =
 
 let metrics t = t.m
 
-let compile_payload (a : Event_query.atomic) =
-  match Simulate.plan a.Event_query.pattern with
-  | Some p -> Plan.matches p
-  | None -> fun payload -> Simulate.matches a.Event_query.pattern payload
-
 let register t atom =
   fst
     (Net.register t.net atom ~build:(fun ~digest ->
          {
            atom;
            key = digest;
-           payload_matches = compile_payload atom;
+           payload_matches = Simulate.matcher atom.Event_query.pattern;
            memo = Lru.create ~cap:memo_cap;
            refs = 0;  (* Net.register sets the first reference *)
          }))

@@ -26,8 +26,8 @@
     and threads {!subscribe} into every rule's
     {!Xchange_event.Incremental.create} and the event-derivation
     network's {!Xchange_event.Deductive_event.compile} as [~share].
-    [XCHANGE_NO_SHARE=1] (see {!Xchange_core.Escape}) keeps the
-    per-rule matchers as the differential oracle. *)
+    [Engine.create ~share:false] keeps the per-rule matchers as the
+    differential oracle; [XCHANGE_NO_SHARE=1] makes that the default. *)
 
 open Xchange_event
 open Xchange_obs
@@ -44,10 +44,6 @@ val create : ?metrics:Obs.Metrics.t -> ?digest:(Event_query.atomic -> string) ->
     for tests that force digest collisions to exercise the in-bucket
     structural-equality verification; production callers use the
     default ({!Event_query.atomic_digest}). *)
-
-val enabled : unit -> bool
-(** [false] when [XCHANGE_NO_SHARE=1] is set — the escape hatch
-    restoring per-rule matchers ({!Xchange_core.Escape.no_share}). *)
 
 val register : t -> Event_query.atomic -> handle
 (** Subscribe an atom: reuses the node of a structurally-equal atom

@@ -65,8 +65,6 @@ type t = {
   mutable fanout : int;
 }
 
-let enabled () = not Xchange_core.Escape.no_share
-
 let join_stats t =
   Net.fold
     (fun n acc -> Incremental.sum_join_stats [ acc; Incremental.join_stats n.pipe ])

@@ -52,9 +52,9 @@
     independent of subscribers (Thesis 5), and WAL recovery relies on
     replay priming each shared store once, not once per rule.
 
-    [XCHANGE_NO_SHARE=1] (see {!Xchange_core.Escape}) disables beta and
-    alpha sharing together, keeping the per-rule pipelines as the
-    differential oracle ([test/test_beta.ml]). *)
+    [Engine.create ~share:false] disables beta and alpha sharing
+    together, keeping the per-rule pipelines as the differential oracle
+    ([test/test_beta.ml]); [XCHANGE_NO_SHARE=1] makes that the default. *)
 
 open Xchange_event
 open Xchange_obs
@@ -83,10 +83,6 @@ val create :
     engines' settings (they shape the pipelines); [share_atoms] is the
     alpha network's {!Alpha.subscribe}, so shared pipelines share
     atomic evaluation too. *)
-
-val enabled : unit -> bool
-(** [false] when [XCHANGE_NO_SHARE=1] is set ({!Xchange_core.Escape.no_share})
-    — the same hatch that disables the alpha network. *)
 
 val begin_batch : t -> unit
 (** Open a new memo generation.  Must be called once per engine entry

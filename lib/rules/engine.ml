@@ -27,14 +27,13 @@ type t = {
           or accumulated join state) *)
   sub : int Sub_index.t option;
       (** every rule atom registered by (label, payload fingerprint);
-          [Some] iff [index] and the sub-index is enabled — dispatch then
-          refutes rules whose atom patterns cannot match the payload;
-          [None] reaches every rule *)
+          [Some] iff [index] — dispatch then refutes rules whose atom
+          patterns cannot match the payload; [None] reaches every rule *)
   beta : Beta.t option;
       (** the shared beta network every rule's composite subtrees (and
           the derivation network's) register in; [None] under
-          [~share:false] / [XCHANGE_NO_SHARE=1].  The alpha network it
-          shares atoms through lives in the rules' matchers. *)
+          [~share:false].  The alpha network it shares atoms through
+          lives in the rules' matchers. *)
   derivation : Deductive_event.t;
   horizon : Clock.span option;  (** as requested at [create] (kept for {!load_ruleset}) *)
   index : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
@@ -98,7 +97,8 @@ let merge_sorted a b =
   in
   go a b []
 
-let create ?horizon ?(index = true) ?(share = Alpha.enabled ()) ?fresh_event_id root =
+let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
+    ?(share = not Xchange_core.Escape.no_share) ?fresh_event_id root =
   let* () = Ruleset.validate root in
   let m = Obs.Metrics.create () in
   (* One alpha network per engine: every rule's atomic matchers — and
@@ -170,7 +170,7 @@ let create ?horizon ?(index = true) ?(share = Alpha.enabled ()) ?fresh_event_id 
      rule base (Thesis 7: never re-scan).  Feeding a refuted (rule,
      event) pair would be a no-op — the atom's plan cannot match. *)
   let sub =
-    if index && Sub_index.enabled () then begin
+    if index then begin
       let s = Sub_index.create ~metrics:m () in
       Array.iteri
         (fun i cr ->
@@ -279,15 +279,13 @@ let candidates sub ev =
    Each of them gets the whole batch, as under the full scan.  Every
    other rule would see only events its atoms cannot match, and its
    engine does not observe time, so feeding it would change nothing.
-   Without the sub-index a batch reaches every rule (the full scan),
-   except that an empty one, a bare clock advance, reaches only the
-   clocked rules unless [~index:false]. *)
+   Without the sub-index every batch reaches every rule: the full
+   scan. *)
 let reached t batch =
-  match (t.sub, batch) with
-  | Some sub, _ ->
+  match t.sub with
+  | Some sub ->
       List.fold_left (fun acc ev -> merge_sorted acc (candidates sub ev)) t.clocked batch
-  | None, [] when t.index -> t.clocked
-  | None, _ -> List.init (Array.length t.compiled) Fun.id
+  | None -> List.init (Array.length t.compiled) Fun.id
 
 let handle_event t ~env ~ops event =
   Obs.Metrics.Counter.incr t.c.c_seen;
@@ -306,11 +304,9 @@ let handle_event t ~env ~ops event =
     let derived = Deductive_event.feed t.derivation event in
     let batch = event :: derived in
     let visit = reached t batch in
-    if t.index then begin
-      Obs.Metrics.Counter.incr t.c.c_lookups;
-      Obs.Metrics.Counter.incr ~by:(List.length visit * List.length batch) t.c.c_fed;
-      Obs.Metrics.Counter.incr ~by:(Array.length t.compiled - List.length visit) t.c.c_skipped
-    end;
+    Obs.Metrics.Counter.incr t.c.c_lookups;
+    Obs.Metrics.Counter.incr ~by:(List.length visit * List.length batch) t.c.c_fed;
+    Obs.Metrics.Counter.incr ~by:(Array.length t.compiled - List.length visit) t.c.c_skipped;
     let acc =
       List.fold_left
         (fun acc i ->
@@ -343,9 +339,9 @@ let handle_event t ~env ~ops event =
     out
   end
 
-(* A bare clock advance moves only the clocked rules; the events it
-   derives reach their candidates through the same path as
-   [handle_event].  A reached rule is fed the derived events before its
+(* A bare clock advance moves only the clocked rules (every rule on the
+   full scan); the events it derives reach their candidates through the
+   same path as [handle_event].  A reached rule is fed the derived events before its
    clock moves, and its timer detections fire first. *)
 let advance t ~env ~ops time =
   Option.iter Beta.begin_batch t.beta;

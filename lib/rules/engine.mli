@@ -33,19 +33,17 @@ val create :
     whose label {e and} payload fingerprint it can satisfy, plus the
     rules whose engine observes time ({!Incremental.observes_time}:
     absence timers, horizon-pruned or accumulated join state).  Such
-    {e clocked} rules see every input, as under the full scan.  The
-    other path is the full scan itself, the oracle: every event batch
-    reaches every rule.  [~index:false] selects it, and so does
-    [XCHANGE_NO_SUBINDEX=1] (see {!Sub_index.enabled}), except that
-    under the hatch a bare clock advance still moves only the clocked
-    rules.  [index] (default true) also selects the hash-partitioned
-    join stores of the inner engines; [~index:false] falls back to
-    nested-loop joins.  Outcomes are identical on both paths
-    (property-tested); use the scan only for that comparison.
+    {e clocked} rules see every input.  The other path, selected by
+    [~index:false], is the oracle, the full scan: every event batch and
+    every clock advance reaches every rule, and the inner engines join
+    with nested loops instead of hash-partitioned join stores.  Outcomes
+    are identical on both paths (property-tested); use the oracle only
+    for that comparison.  [index] defaults to true unless
+    [XCHANGE_NO_SUBINDEX=1] is set; an explicit [~index] wins.
 
-    [share] (default: on unless [XCHANGE_NO_SHARE=1]) deduplicates
-    rule evaluation across the whole rule base through two shared
-    networks.  The {!Alpha} network dedupes atomic event matchers:
+    [share] (default: on unless [XCHANGE_NO_SHARE=1]; an explicit
+    [~share] wins) deduplicates rule evaluation across the whole rule
+    base through two shared networks.  The {!Alpha} network dedupes atomic event matchers:
     structurally-identical atoms — in ECA rules and event-derivation
     rules alike — evaluate a given occurrence once and fan the
     substitutions out to every subscribing rule, so large rule sets
@@ -134,10 +132,10 @@ val next_deadline : t -> Clock.time option
 (** {1 Dispatch observability} *)
 
 val metrics : t -> Obs.Metrics.t
-(** The engine's registry.  Dispatch counters, all zero under
-    [~index:false] except the last: [engine.dispatch_lookups] (event
-    batches routed), [engine.rules_fed] ((rule, event) feeds),
-    [engine.rules_skipped] (rules a batch did not reach) and
+(** The engine's registry.  Dispatch counters, kept on both paths:
+    [engine.dispatch_lookups] (event batches routed),
+    [engine.rules_fed] ((rule, event) feeds), [engine.rules_skipped]
+    (rules a batch did not reach, always zero under [~index:false]) and
     [engine.rules_advanced] (rules {!advance} moved the clock of).
     [engine.events_seen] counts {!handle_event} calls and
     [engine.condition_evaluations] the rule branch conditions

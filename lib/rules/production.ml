@@ -27,7 +27,7 @@ type t = {
   c_errors : Obs.Metrics.Counter.t;
 }
 
-let create ?(share = Alpha.enabled ()) rules =
+let create ?(share = not Xchange_core.Escape.no_share) rules =
   let m = Obs.Metrics.create () in
   let groups = ref [] in
   let group_of condition =

@@ -21,10 +21,10 @@ type rule = { name : string; condition : Condition.t; action : Action.t }
 type t
 
 val create : ?share:bool -> rule list -> t
-(** [share] (default: on unless [XCHANGE_NO_SHARE=1]) groups rules with
-    structurally equal conditions so each distinct condition is
-    evaluated once per polling generation and the answers served to
-    every member.  Any action execution starts a new generation —
+(** [share] (default: on unless [XCHANGE_NO_SHARE=1]; an explicit
+    [~share] wins) groups rules with structurally equal conditions so
+    each distinct condition is evaluated once per polling generation and
+    the answers served to every member.  Any action execution starts a new generation —
     actions can mutate what a condition reads, so a rule polled after a
     firing re-evaluates instead of reading a stale cache; shared and
     unshared firings are therefore identical.  Per-rule [previous]

@@ -68,15 +68,22 @@ type context = {
   now : unit -> Clock.time;
 }
 
+(* The next event id on the node's origin lane: the node's own events
+   and its engine's derived events draw from one counter. *)
+let next_event_id ~lane event_n () =
+  incr event_n;
+  Event.scoped_id ~origin:lane ~n:!event_n
+
+(* [create] and [crash] both build the engine here, so a crash rebuilds
+   it with every setting the node was created with. *)
+let make_engine ~horizon ~lane ~event_n ruleset =
+  Engine.create ?horizon ~fresh_event_id:(next_event_id ~lane event_n) ruleset
+
 let create ?horizon ?(accept_rules = false) ?(accept_updates = false) ?(durable = true)
     ?(snapshot_every = 256) ~host ruleset =
   let lane = Event.fresh_origin () in
   let event_n = ref 0 in
-  let fresh_event_id () =
-    incr event_n;
-    Event.scoped_id ~origin:lane ~n:!event_n
-  in
-  match Engine.create ?horizon ~fresh_event_id ruleset with
+  match make_engine ~horizon ~lane ~event_n ruleset with
   | Error e -> Error e
   | Ok engine ->
       let m = Obs.Metrics.create () in
@@ -123,9 +130,7 @@ let store t = t.store
 let engine t = t.engine
 let wal t = t.wal
 
-let fresh_event_id t =
-  incr t.event_n;
-  Event.scoped_id ~origin:t.lane ~n:!(t.event_n)
+let fresh_event_id t = next_event_id ~lane:t.lane t.event_n ()
 
 let fresh_msg_id t =
   incr t.msg_n;
@@ -459,11 +464,7 @@ let crash t =
   (match Store.load_snapshot t.store (Store.snapshot (Store.create ())) with
   | Ok () -> ()
   | Error e -> invalid_arg ("Node.crash: " ^ e));
-  let fresh_event_id () =
-    incr t.event_n;
-    Event.scoped_id ~origin:t.lane ~n:!(t.event_n)
-  in
-  (match Engine.create ?horizon:t.horizon ~fresh_event_id t.ruleset0 with
+  (match make_engine ~horizon:t.horizon ~lane:t.lane ~event_n:t.event_n t.ruleset0 with
   | Ok e -> t.engine <- e
   | Error e -> invalid_arg ("Node.crash: " ^ e));
   t.log_lines <- [];

@@ -351,10 +351,11 @@ module Registry = struct
     reg.store <- Some store;
     reg.dirty <- true;
     Store.on_change store (observe reg);
-    if Sub_index.enabled () then Store.set_dynamic store subscribers_doc (answer reg);
+    if not Xchange_core.Escape.no_subindex then
+      Store.set_dynamic store subscribers_doc (answer reg);
     reg
 end
 
-let subscribers ?(index = true) store ~topic =
+let subscribers ?(index = not Xchange_core.Escape.no_subindex) store ~topic =
   if not index then Registry.oracle_subscribers store ~topic
   else hosts_of_answers (Store.query store ~doc:subscribers_doc (subscribers_q topic))

@@ -26,7 +26,8 @@
     are not plain pair lists disable the fast path entirely until they
     are clean again — answers are always exactly those of the document
     query.  [XCHANGE_NO_SUBINDEX=1] keeps the rule-driven linear-scan
-    path as the differential oracle, mirroring [XCHANGE_NO_PLAN]. *)
+    path as the differential oracle: attached registries then install
+    no answerer, and {!subscribers} defaults to [~index:false]. *)
 
 open Xchange_data
 open Xchange_rules
@@ -52,7 +53,9 @@ val subscribers : ?index:bool -> Store.t -> topic:string -> string list
 (** Hosts currently subscribed to a topic, sorted.  By default served
     through {!Store.query} — index-pruned, memoized, and answered
     directly by an attached {!Registry}; [~index:false] scans the
-    register document with the plain interpreter (the test oracle). *)
+    register document with the plain interpreter (the test oracle).
+    [index] defaults to true unless [XCHANGE_NO_SUBINDEX=1] is set; an
+    explicit [~index] wins. *)
 
 (** Topic-keyed subscription index over the register document. *)
 module Registry : sig

@@ -131,7 +131,6 @@ let next_holding t =
     t.queue None
 
 let pending t = t.holding
-let queue_length t = Q.cardinal t.queue
 
 let exec t key e =
   t.queue <- Q.remove key t.queue;

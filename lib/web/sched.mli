@@ -82,9 +82,6 @@ val next_holding : t -> Clock.time option
 val pending : t -> int
 (** Number of queued holding occurrences. *)
 
-val queue_length : t -> int
-(** All queued occurrences (including recurring ones). *)
-
 val run_until : t -> Clock.time -> unit
 (** Execute every occurrence due at or before the given time, in
     [(time, seq)] order — thunks may schedule further occurrences,

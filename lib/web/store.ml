@@ -78,7 +78,6 @@ let on_change t f = t.observers <- t.observers @ [ f ]
 let fire t ch = List.iter (fun f -> f ch) t.observers
 
 let set_dynamic t name answer = Hashtbl.replace t.dynamic name answer
-let clear_dynamic t name = Hashtbl.remove t.dynamic name
 
 (* Every document mutation drops the document's index; cached query
    answers need no eager flush because their keys embed the digest of

@@ -94,8 +94,6 @@ val set_dynamic : t -> string -> (seed:Subst.t -> Qterm.t -> Subst.set option) -
     answer-equivalence: a [Some] result must be exactly what the
     fallback would compute. *)
 
-val clear_dynamic : t -> string -> unit
-
 val env : t -> Condition.env
 (** Query environment over this store only ([Local]/[Remote] resolve by
     path against this store; views resolve to nothing — the engine layers

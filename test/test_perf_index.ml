@@ -450,33 +450,37 @@ let test_store_counters () =
 
 let counter engine = cells (Engine.metrics engine)
 
+(* Both dispatch paths in every environment: the sub-index reaches one
+   rule and advances none of the timerless rules, the full scan feeds
+   and advances all three. *)
 let test_engine_counters () =
   let rule l =
     Eca.make ~name:("r-" ^ l) ~on:(Event_query.on ~label:l (Qterm.var "P")) Action.Nop
   in
-  let engine =
-    Engine.create_exn (Ruleset.make ~rules:[ rule "a"; rule "b"; rule "c" ] "s")
+  let check ~index ~atoms ~fed ~skipped ~advanced =
+    let engine =
+      Engine.create_exn ~index (Ruleset.make ~rules:[ rule "a"; rule "b"; rule "c" ] "s")
+    in
+    let store, ops = harness () in
+    let env = Store.env store in
+    let outcome =
+      Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:1 ~label:"a" (Term.text "x"))
+    in
+    ignore (Engine.advance engine ~env ~ops 10);
+    let name s = Printf.sprintf "~index:%b: %s" index s in
+    Alcotest.(check int) (name "only r-a fires") 1 (List.length outcome.Engine.firings);
+    Alcotest.(check int) (name "one lookup") 1 (counter engine "engine.dispatch_lookups");
+    Alcotest.(check int) (name "atoms indexed") atoms (counter engine "subindex.entries");
+    Alcotest.(check int) (name "rules fed") fed (counter engine "engine.rules_fed");
+    Alcotest.(check int) (name "rules skipped") skipped (counter engine "engine.rules_skipped");
+    Alcotest.(check int) (name "rules advanced") advanced (counter engine "engine.rules_advanced")
   in
-  let store, ops = harness () in
-  let env = Store.env store in
-  let outcome =
-    Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:1 ~label:"a" (Term.text "x"))
-  in
-  Alcotest.(check int) "only r-a fires" 1 (List.length outcome.Engine.firings);
-  Alcotest.(check int) "one lookup" 1 (counter engine "engine.dispatch_lookups");
-  if Sub_index.enabled () then begin
-    Alcotest.(check int) "three atoms indexed" 3 (counter engine "subindex.entries");
-    Alcotest.(check int) "one rule fed" 1 (counter engine "engine.rules_fed");
-    Alcotest.(check int) "two rules skipped" 2 (counter engine "engine.rules_skipped")
-  end
-  else begin
-    (* XCHANGE_NO_SUBINDEX=1: the full scan reaches every rule *)
-    Alcotest.(check int) "every rule fed" 3 (counter engine "engine.rules_fed");
-    Alcotest.(check int) "no rule skipped" 0 (counter engine "engine.rules_skipped")
-  end
+  check ~index:true ~atoms:3 ~fed:1 ~skipped:2 ~advanced:0;
+  check ~index:false ~atoms:0 ~fed:3 ~skipped:0 ~advanced:3
 
 (* Engine work per advance follows the rules that observe time, not the
-   rule count. *)
+   rule count.  [~index:true] pins the fast path: the full scan advances
+   every rule. *)
 let test_advance_scales_with_clocked_rules () =
   let rules =
     List.init 10_000 (fun i ->
@@ -484,7 +488,7 @@ let test_advance_scales_with_clocked_rules () =
           ~on:(Event_query.on ~label:(Printf.sprintf "l%d" (i mod 16)) (Qterm.var "P"))
           Action.Nop)
   in
-  let engine = Engine.create_exn (Ruleset.make ~rules "big") in
+  let engine = Engine.create_exn ~index:true (Ruleset.make ~rules "big") in
   let store, ops = harness () in
   let env = Store.env store in
   ignore (Engine.advance engine ~env ~ops 100);
