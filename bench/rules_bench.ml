@@ -39,7 +39,8 @@ let empty_env = Condition.env_of_docs []
 let pool_size = 16
 
 (* the label carries the distinctness: atoms differing only in label
-   already digest apart, so the payload pattern can stay constant *)
+   are already distinct sharing keys, so the payload pattern can stay
+   constant *)
 let pattern = Qterm.el "rec" [ Qterm.pos (Qterm.el "k" [ Qterm.pos (Qterm.var "X") ]) ]
 
 let rules_for ~overlap n =

@@ -38,9 +38,8 @@ module Escape : sig
 
   val no_share : bool
   (** [XCHANGE_NO_SHARE=1]: default [?share] of
-      {!Xchange_rules.Engine.create} and
-      {!Xchange_rules.Production.create} to [false]: per-rule matchers,
-      join state and conditions instead of the shared networks. *)
+      {!Xchange_rules.Engine.create} to [false]: per-rule matchers and
+      join state instead of the shared networks. *)
 
   val no_par : bool
   (** [XCHANGE_NO_PAR=1]: force every {!Xchange_web.Network} onto the

@@ -122,5 +122,13 @@ let run t inject =
 let feed t e = run t (`Ev e)
 let advance_to t time = run t (`Now time)
 
+let next_deadline t =
+  List.fold_left
+    (fun acc cr ->
+      match (acc, Incremental.next_deadline cr.engine) with
+      | None, d | d, None -> d
+      | Some a, Some b -> Some (min a b))
+    None t.rules
+
 let join_stats t =
   Incremental.sum_join_stats (List.map (fun cr -> Incremental.join_stats cr.engine) t.rules)

@@ -59,5 +59,10 @@ val feed : t -> Event.t -> Event.t list
 val advance_to : t -> Clock.time -> Event.t list
 (** Timer-driven derivations (absence triggers). *)
 
+val next_deadline : t -> Clock.time option
+(** Earliest pending absence deadline across the derivation rules —
+    when {!advance_to} must run for a timer-driven derivation to happen
+    on schedule ([None] when no timer is armed). *)
+
 val join_stats : t -> Incremental.join_stats
 (** Aggregated join counters across all derivation-rule engines. *)

@@ -56,31 +56,6 @@ let rec atoms = function
   | Agg spec -> atoms spec.over
   | Rises spec -> atoms spec.r_over
 
-(* An atomic query's identity for cross-rule sharing: the envelope
-   constraints plus the payload pattern's canonical digest.  The "\x00"
-   separators keep (label="ab", sender="") distinct from (label="a",
-   sender="b") and option-ness explicit. *)
-let atomic_digest_uncached (a : atomic) =
-  let opt = function None -> "-" | Some s -> "+" ^ s in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" [ opt a.label; opt a.sender; Qterm.digest a.pattern ]))
-
-(* memoized like Qterm.digest: registration and resync paths hash the
-   same few atoms over and over; domain-local so sharded schedulers
-   never contend *)
-let atomic_digest_caches : (atomic, string) Lru.t Xchange_core.Domain_local.t =
-  Xchange_core.Domain_local.create (fun () -> Lru.create ~cap:512)
-
-let atomic_digest (a : atomic) =
-  let cache = Xchange_core.Domain_local.get atomic_digest_caches in
-  match Lru.find cache a with
-  | Some d -> d
-  | None ->
-      let d = atomic_digest_uncached a in
-      Lru.add cache a d;
-      d
-
 let rec has_timers = function
   | Atomic _ -> false
   | And qs | Or qs | Seq qs -> List.exists has_timers qs
@@ -136,86 +111,6 @@ let canonicalize q =
   in
   let q' = go q in
   (q', List.rev !order)
-
-(* A composite sub-query's identity for cross-rule sharing (the beta
-   network): digest of the canonicalized (alpha-renamed) form —
-   operators, their temporal parameters, child structure, and the atomic
-   envelopes/patterns — with the enclosing window context [ctx] folded
-   in.  [ctx] decides the internal pruning bounds a node is compiled
-   under, so occurrences below different enclosing windows must not
-   share detection state.  Like {!atomic_digest}, consumers bucketing on
-   it must still verify structural equality within a bucket. *)
-let composite_digest ~ctx q =
-  let q, _ = canonicalize q in
-  let buf = Buffer.create 256 in
-  let c ch = Buffer.add_char buf ch in
-  let s str =
-    Buffer.add_string buf (string_of_int (String.length str));
-    c ':';
-    Buffer.add_string buf str
-  in
-  let i n =
-    Buffer.add_string buf (string_of_int n);
-    c ';'
-  in
-  let rec go = function
-    | Atomic a ->
-        c 'a';
-        s (atomic_digest a)
-    | And qs ->
-        c '&';
-        i (List.length qs);
-        List.iter go qs
-    | Or qs ->
-        c '|';
-        i (List.length qs);
-        List.iter go qs
-    | Seq qs ->
-        c '>';
-        i (List.length qs);
-        List.iter go qs
-    | Within (q, sp) ->
-        c 'w';
-        i sp;
-        go q
-    | Absent (q1, q2, sp) ->
-        c '!';
-        i sp;
-        go q1;
-        go q2
-    | Times (n, q, sp) ->
-        c 'x';
-        i n;
-        i sp;
-        go q
-    | Agg spec ->
-        c 'g';
-        s spec.var;
-        s spec.bind;
-        i spec.window;
-        c
-          (match spec.op with
-          | Construct.Count -> 'c'
-          | Construct.Sum -> 's'
-          | Construct.Avg -> 'a'
-          | Construct.Min -> 'm'
-          | Construct.Max -> 'M');
-        go spec.over
-    | Rises spec ->
-        c 'r';
-        s spec.r_var;
-        s spec.r_bind;
-        i spec.r_window;
-        s (Printf.sprintf "%h" spec.r_ratio);
-        go spec.r_over
-  in
-  go q;
-  (match ctx with
-  | None -> c '-'
-  | Some sp ->
-      c '+';
-      i sp);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* An atomic instance below an unbounded composition must be kept
    forever; below Within/Times/Absent it can be discarded once older

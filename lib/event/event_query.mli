@@ -84,14 +84,6 @@ val vars : t -> string list
 val atoms : t -> atomic list
 (** All atomic sub-queries (for label indexing and dependency checks). *)
 
-val atomic_digest : atomic -> string
-(** Canonical structural digest of an atomic event query: label, sender
-    and {!Xchange_query.Qterm.digest} of the payload pattern.  Two atoms
-    with equal digests demand the same envelope and extract the same
-    bindings from the same payloads, so their evaluation can be shared
-    across rules (see {!Xchange_rules.Alpha}); equal atoms always yield
-    equal digests. *)
-
 val has_timers : t -> bool
 (** Whether the query contains an absence operator — the only source of
     timer-driven detections.  Engines use this to skip clock advances on
@@ -111,18 +103,6 @@ val canonicalize : t -> t * (string * string) list
     query.  Also returns the canonical -> original name mapping (a
     bijection; applying it to a canonical answer's bindings restores the
     original names).  Idempotent on already-canonical queries. *)
-
-val composite_digest : ctx:Clock.span option -> t -> string
-(** Cross-rule sharing key for a composite sub-query (the beta-network
-    analogue of {!atomic_digest}): digest of the {!canonicalize}d form —
-    operators, temporal parameters (windows, repetition counts,
-    aggregate specs), child structure, and atomic envelopes/patterns —
-    with the enclosing window context [ctx] folded in ([ctx] decides the
-    internal pruning bounds a compiled node runs under, so occurrences
-    below different enclosing windows must not share detection state).
-    Alpha-equivalent sub-queries digest equal; consumers bucketing on
-    the digest must still verify structural equality within a bucket
-    (collision safety, exactly as with {!atomic_digest}). *)
 
 val max_window : t -> Clock.span option
 (** An upper bound on how long an atomic instance can remain relevant,

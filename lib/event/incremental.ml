@@ -637,14 +637,12 @@ let time_sensitive ?horizon q =
 (* ---- engine --------------------------------------------------------- *)
 
 type t = {
-  q : Event_query.t;
   root : node;
   consume : bool;
   selection : selection;
   index : bool;
   observes_time : bool;
   mutable clock : Clock.time;
-  mutable seen : int;
 }
 
 let create ?(consume = false) ?(selection = Each) ?horizon ?(index = true) ?share
@@ -654,7 +652,6 @@ let create ?(consume = false) ?(selection = Each) ?horizon ?(index = true) ?shar
   | Ok () ->
       Ok
         {
-          q;
           root =
             build ?horizon ?share ?share_sub ~index ~ctx:None ~stored_bound:(Some 0)
               ~key:[] q;
@@ -663,7 +660,6 @@ let create ?(consume = false) ?(selection = Each) ?horizon ?(index = true) ?shar
           index;
           observes_time = time_sensitive ?horizon q;
           clock = Clock.origin;
-          seen = 0;
         }
 
 let create_exn ?consume ?selection ?horizon ?index ?share ?share_sub q =
@@ -680,14 +676,12 @@ let create_exn ?consume ?selection ?horizon ?index ?share ?share_sub q =
    an already-validated rule query, so validation is skipped. *)
 let create_sub ?horizon ?(index = true) ?share ~ctx q =
   {
-    q;
     root = build ?horizon ?share ~index ~ctx ~stored_bound:(Some 0) ~key:[] q;
     consume = false;
     selection = Each;
     index;
     observes_time = time_sensitive ?horizon q;
     clock = Clock.origin;
-    seen = 0;
   }
 
 let rec purge_ids node ids =
@@ -743,7 +737,6 @@ let select_and_consume t detections =
 (* The root is nobody's child, so nothing would ever read its store:
    [fresh_of], not [step], keeps it empty. *)
 let feed t e =
-  t.seen <- t.seen + 1;
   if Event.time e > t.clock then t.clock <- Event.time e;
   let detections = fresh_of ~index:t.index t.root (Ev e) ~now:t.clock in
   select_and_consume t detections
@@ -753,8 +746,6 @@ let advance_to t time =
   let detections = fresh_of ~index:t.index t.root (Now time) ~now:t.clock in
   select_and_consume t detections
 
-let query t = t.q
-let now t = t.clock
 let observes_time t = t.observes_time
 
 let rec count_node node =
@@ -771,7 +762,6 @@ let rec count_node node =
       + count_node st.src
 
 let live_instances t = count_node t.root
-let events_seen t = t.seen
 
 (* ---- join observability --------------------------------------------- *)
 

@@ -125,9 +125,6 @@ val feed : t -> Event.t -> Instance.t list
 val advance_to : t -> Clock.time -> Instance.t list
 (** Move time forward; returns timer-driven detections (absence). *)
 
-val query : t -> Event_query.t
-val now : t -> Clock.time
-
 val observes_time : t -> bool
 (** Whether an input no atom can match — a bare {!advance_to}, or an
     event of a label the query never names — can change later answers.
@@ -144,8 +141,6 @@ val live_instances : t -> int
     absences and accumulation buffer entries) — the memory proxy
     reported by E4.  The root operator stores nothing: it has no parent
     to read its detections back. *)
-
-val events_seen : t -> int
 
 val next_deadline : t -> Clock.time option
 (** Earliest pending absence deadline, if any — the time by which

@@ -42,7 +42,6 @@ let add t k v =
   t.tick <- t.tick + 1;
   Hashtbl.replace t.tbl k { value = v; used = t.tick }
 
-let mem t k = Hashtbl.mem t.tbl k
 let length t = Hashtbl.length t.tbl
 let capacity t = t.cap
 let clear t = Hashtbl.reset t.tbl

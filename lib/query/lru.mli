@@ -22,9 +22,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts (or refreshes) a binding, evicting the least recently used
     entry when full. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Does not bump recency or counters. *)
-
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int
 val clear : ('k, 'v) t -> unit

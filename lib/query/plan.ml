@@ -375,7 +375,6 @@ and compile_elem (ep : Qterm.elem_pat) : code =
 (* ---- plans ---------------------------------------------------------- *)
 
 type t = {
-  source : Qterm.t;
   root : code;  (** the query matched at a node *)
   inner : code;  (** the desc-peeled query, for anywhere-matching *)
   anchor : Qterm.anchor option;  (** of the peeled query *)
@@ -386,10 +385,7 @@ let compile q =
   let peeled = Qterm.peel_desc q in
   let root = compile_code q in
   let inner = if peeled == q then root else compile_code peeled in
-  { source = q; root; inner; anchor = Qterm.anchor peeled }
-
-let source p = p.source
-let digest p = Qterm.digest p.source
+  { root; inner; anchor = Qterm.anchor peeled }
 
 let matches ?(seed = Subst.empty) p t = Subst.dedup (p.root t seed)
 
@@ -425,5 +421,3 @@ let matches_anywhere ?index ?(seed = Subst.empty) p t =
              | Some node -> p.inner node seed
              | None -> [])
            paths)
-
-let holds ?seed p t = matches ?seed p t <> []

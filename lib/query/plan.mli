@@ -44,24 +44,15 @@ val compile : Qterm.t -> t
     lazy (forced on first use), so an invalid regex in a branch that is
     never visited raises exactly where the interpreter would. *)
 
-val source : t -> Qterm.t
-(** The query the plan was compiled from. *)
-
-val digest : t -> string
-(** {!Qterm.digest} of {!source} — the structural plan key the shared
-    alpha network deduplicates matchers on. *)
-
 val matches : ?seed:Subst.t -> t -> Term.t -> Subst.set
 (** All solutions of matching the plan's query at the root of the term —
-    byte-for-byte {!Simulate.matches} of {!source}. *)
+    byte-for-byte {!Simulate.matches} of the query it was compiled from. *)
 
 val matches_anywhere : ?index:Term_index.t -> ?seed:Subst.t -> t -> Term.t -> Subst.set
 (** All solutions at the root or any descendant.  [index] (built from
     this exact document value) prunes through the plan's precomputed
     {!Qterm.anchor} when the query has one; answers are identical either
     way. *)
-
-val holds : ?seed:Subst.t -> t -> Term.t -> bool
 
 (** {1 Work counters}
 

@@ -136,115 +136,6 @@ let rec anchor = function
       |> Option.map (fun l -> A_parent_label l)
   | Var _ | Leaf _ | El _ | Desc _ -> None
 
-(* ---- canonical digest ------------------------------------------------ *)
-
-(* Unambiguous serialization: every string is length-prefixed, every
-   constructor tagged, so distinct terms yield distinct encodings.
-   Attributes are sorted by name — their list order carries no matching
-   semantics, so reordered-but-equal patterns must share a digest.
-   Children keep their order (it matters under [Ordered], and sorting
-   [Unordered] children would cost more than the extra alpha nodes it
-   would merge). *)
-let encode buf q =
-  let c ch = Buffer.add_char buf ch in
-  let s str =
-    Buffer.add_string buf (string_of_int (String.length str));
-    c ':';
-    Buffer.add_string buf str
-  in
-  let leaf = function
-    | Leaf_any -> c '_'
-    | Text_is t ->
-        c 't';
-        s t
-    | Num_is f ->
-        c 'n';
-        s (Printf.sprintf "%h" f)
-    | Bool_is b -> c (if b then 'T' else 'F')
-    | Regex r ->
-        c 'r';
-        s r
-  in
-  let rec go = function
-    | Var v ->
-        c 'V';
-        s v
-    | As (v, q) ->
-        c 'A';
-        s v;
-        go q
-    | Leaf p ->
-        c 'L';
-        leaf p
-    | Desc q ->
-        c 'D';
-        go q
-    | El e ->
-        c 'E';
-        (match e.label with
-        | L l ->
-            c 'l';
-            s l
-        | L_var v ->
-            c 'v';
-            s v
-        | L_any -> c '*');
-        c (match e.ord with Term.Ordered -> 'o' | Term.Unordered -> 'u');
-        c (match e.spec with Total -> 'T' | Partial -> 'P');
-        let attrs = List.sort (fun (a, _) (b, _) -> String.compare a b) e.attrs in
-        c '[';
-        List.iter
-          (fun (name, ap) ->
-            s name;
-            match ap with
-            | A_is v ->
-                c '=';
-                s v
-            | A_var v ->
-                c '?';
-                s v
-            | A_any -> c '*')
-          attrs;
-        c ']';
-        c '(';
-        List.iter
-          (fun child ->
-            match child with
-            | Pos q ->
-                c '+';
-                go q
-            | Without q ->
-                c '-';
-                go q
-            | Opt q ->
-                c '?';
-                go q)
-          e.children;
-        c ')'
-  in
-  go q
-
-let digest_uncached q =
-  let buf = Buffer.create 128 in
-  encode buf q;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* Digests are recomputed per alpha/beta registration and per Sub_index
-   resync for the same handful of hot patterns; memoize the first
-   computation.  Domain-local LRUs (the Simulate plan-cache idiom) so
-   sharded schedulers never contend on a shared table. *)
-let digest_caches : (t, string) Lru.t Xchange_core.Domain_local.t =
-  Xchange_core.Domain_local.create (fun () -> Lru.create ~cap:512)
-
-let digest q =
-  let cache = Xchange_core.Domain_local.get digest_caches in
-  match Lru.find cache q with
-  | Some d -> d
-  | None ->
-      let d = digest_uncached q in
-      Lru.add cache q d;
-      d
-
 let validate q =
   let problems = ref [] in
   let note msg = problems := msg :: !problems in

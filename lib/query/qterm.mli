@@ -106,18 +106,6 @@ val map_vars : (string -> string) -> t -> t
     deterministic canonical form — the alpha-renaming the shared beta
     network ({!Xchange_rules.Beta}) keys composite sub-queries by. *)
 
-val digest : t -> string
-(** Canonical structural digest (hex, fixed width): equal query terms —
-    up to attribute order, which has no matching semantics — yield equal
-    digests, and distinct terms collide only with cryptographic-hash
-    probability.  Variable {e names} are significant (they decide which
-    bindings join), so alpha-equivalent patterns do {b not} share.  Used
-    by the shared alpha network ({!Xchange_rules.Alpha}) to key atomic
-    event matchers; consumers bucketing on it must still verify
-    structural equality inside a bucket (collision safety).  Memoized in
-    a domain-local LRU — hot registration/resync paths hit the cache
-    after the first computation. *)
-
 val validate : t -> (unit, string) result
 (** Static sanity checks: regexes compile; [Without] patterns do not
     attempt to export variables that are not also bound positively. *)

@@ -1,9 +1,10 @@
 (* Shared alpha network: one memoizing matcher per distinct atomic
    event query, fanned out to every subscribing rule.  See alpha.mli
-   for the contract.  Bucketing, refcounts and shedding live in
-   {!Node_bucket} (shared with the beta network); the invariants kept
-   here:
+   for the contract.  The invariants kept here:
 
+   - nodes are keyed by the atom itself and compared with structural
+     equality, so two subscriptions share exactly when their atoms are
+     equal; the table lives as long as the engine that owns it;
    - the memo caches pure (pattern, payload) results keyed by event id,
      so serving from it is indistinguishable from re-evaluating;
    - the memo is a bounded LRU: a burst of fresh event ids past the cap
@@ -22,40 +23,36 @@ let memo_cap = 64
 
 type node = {
   atom : Event_query.atomic;
-  key : string;  (* digest, = the bucket this node lives in *)
   payload_matches : Xchange_data.Term.t -> Subst.set;
   memo : (int, Subst.set) Lru.t;  (* event id -> substitutions *)
-  mutable refs : int;  (* live handles; 0 = released, node is dead *)
 }
 
-type handle = node
+module Atoms = Hashtbl.Make (struct
+  type t = Event_query.atomic
 
-module Net = Node_bucket.Make (struct
-  type t = node
-  type key = Event_query.atomic
-
-  let equal atom n = n.atom = atom
-  let bucket n = n.key
-  let refs n = n.refs
-  let set_refs n r = n.refs <- r
+  let equal = ( = )
+  (* the whole key: the default [Hashtbl.hash] stops after 10 values,
+     which atoms often share (label, element names) before the
+     constants that tell them apart *)
+  let hash = Hashtbl.hash_param 256 256
 end)
 
 type t = {
-  net : Net.t;
+  nodes : node Atoms.t;
   m : Obs.Metrics.t;
+  mutable registrations : int;
   mutable evaluations : int;
   mutable hits : int;
   mutable fanout : int;
 }
 
-let create ?metrics ?(digest = Event_query.atomic_digest) () =
+let create ?metrics () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
-    { net = Net.create ~name:"Alpha" ~digest; m; evaluations = 0; hits = 0; fanout = 0 }
+    { nodes = Atoms.create 64; m; registrations = 0; evaluations = 0; hits = 0; fanout = 0 }
   in
-  Obs.Metrics.gauge_fn m "alpha.nodes" (fun () -> float_of_int (Net.distinct t.net));
-  Obs.Metrics.gauge_fn m "alpha.registrations" (fun () ->
-      float_of_int (Net.registrations t.net));
+  Obs.Metrics.gauge_fn m "alpha.nodes" (fun () -> float_of_int (Atoms.length t.nodes));
+  Obs.Metrics.gauge_fn m "alpha.registrations" (fun () -> float_of_int t.registrations);
   Obs.Metrics.counter_fn m "alpha.evaluations" (fun () -> t.evaluations);
   Obs.Metrics.counter_fn m "alpha.hits" (fun () -> t.hits);
   Obs.Metrics.counter_fn m "alpha.fanout" (fun () -> t.fanout);
@@ -63,37 +60,38 @@ let create ?metrics ?(digest = Event_query.atomic_digest) () =
 
 let metrics t = t.m
 
-let register t atom =
-  fst
-    (Net.register t.net atom ~build:(fun ~digest ->
-         {
-           atom;
-           key = digest;
-           payload_matches = Simulate.matcher atom.Event_query.pattern;
-           memo = Lru.create ~cap:memo_cap;
-           refs = 0;  (* Net.register sets the first reference *)
-         }))
+let node t atom =
+  match Atoms.find_opt t.nodes atom with
+  | Some n -> n
+  | None ->
+      let n =
+        {
+          atom;
+          payload_matches = Simulate.matcher atom.Event_query.pattern;
+          memo = Lru.create ~cap:memo_cap;
+        }
+      in
+      Atoms.add t.nodes atom n;
+      n
 
-let release t node = Net.release t.net node
-
-let matcher t node : Incremental.atom_matcher =
- fun e ->
-  if not (Incremental.envelope_ok node.atom e) then []
-  else begin
-    let substs =
-      match Lru.find node.memo e.Event.id with
-      | Some r ->
-          t.hits <- t.hits + 1;
-          r
-      | None ->
-          t.evaluations <- t.evaluations + 1;
-          Incremental.note_atomic_run ();
-          let r = node.payload_matches e.Event.payload in
-          Lru.add node.memo e.Event.id r;
-          r
-    in
-    t.fanout <- t.fanout + List.length substs;
-    substs
-  end
-
-let subscribe t atom = matcher t (register t atom)
+let subscribe t atom : Incremental.atom_matcher =
+  let node = node t atom in
+  t.registrations <- t.registrations + 1;
+  fun e ->
+    if not (Incremental.envelope_ok node.atom e) then []
+    else begin
+      let substs =
+        match Lru.find node.memo e.Event.id with
+        | Some r ->
+            t.hits <- t.hits + 1;
+            r
+        | None ->
+            t.evaluations <- t.evaluations + 1;
+            Incremental.note_atomic_run ();
+            let r = node.payload_matches e.Event.payload in
+            Lru.add node.memo e.Event.id r;
+            r
+      in
+      t.fanout <- t.fanout + List.length substs;
+      substs
+    end

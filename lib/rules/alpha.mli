@@ -11,8 +11,9 @@
     behind it.
 
     An [Alpha.t] holds one node per {b distinct} atomic event query,
-    keyed by its structural digest ({!Xchange_event.Event_query.atomic_digest},
-    collision-safe: digest buckets verify structural equality).  A node
+    keyed by the atom itself: two subscriptions share a node exactly
+    when their atoms are structurally equal (label, sender and payload
+    pattern, variable names included).  A node
     owns the compiled payload matcher and a small per-occurrence memo:
     the first subscribing rule an event reaches evaluates the pattern
     once, every other rule's beta network is handed the memoized
@@ -26,52 +27,38 @@
     and threads {!subscribe} into every rule's
     {!Xchange_event.Incremental.create} and the event-derivation
     network's {!Xchange_event.Deductive_event.compile} as [~share].
+    Nodes live as long as the engine: a rule set only changes by
+    building a new engine ({!Xchange_rules.Engine.load_ruleset}, node
+    recovery), so nothing is ever unsubscribed.
     [Engine.create ~share:false] keeps the per-rule matchers as the
-    differential oracle; [XCHANGE_NO_SHARE=1] makes that the default. *)
+    differential oracle; [XCHANGE_NO_SHARE=1] makes that the
+    default. *)
 
 open Xchange_event
 open Xchange_obs
 
 type t
 
-type handle
-(** One live subscription of one rule atom to a shared node. *)
-
-val create : ?metrics:Obs.Metrics.t -> ?digest:(Event_query.atomic -> string) -> unit -> t
+val create : ?metrics:Obs.Metrics.t -> unit -> t
 (** [metrics] registers the [alpha.*] cells below in an existing
-    registry (e.g. the owning engine's) instead of a private one.
-    [digest] overrides the structural key function — only
-    for tests that force digest collisions to exercise the in-bucket
-    structural-equality verification; production callers use the
-    default ({!Event_query.atomic_digest}). *)
-
-val register : t -> Event_query.atomic -> handle
-(** Subscribe an atom: reuses the node of a structurally-equal atom
-    registered before, else compiles a fresh one. *)
-
-val matcher : t -> handle -> Incremental.atom_matcher
-(** The shared matcher behind a handle: envelope gate, then memoized
-    payload evaluation.  Behaves exactly like the per-rule default
-    matcher (same substitution sets, same
-    {!Incremental.atomic_matcher_runs} accounting on real runs). *)
-
-val release : t -> handle -> unit
-(** Drop one subscription; the shared node (and its digest bucket) is
-    shed when its last subscriber releases.  Releasing an
-    already-released handle is an error ([Invalid_argument]). *)
+    registry (e.g. the owning engine's) instead of a private one. *)
 
 val subscribe : t -> Event_query.atomic -> Incremental.atom_matcher
-(** [register] + [matcher] — the [~share] hook engines pass to
-    {!Incremental.create} / {!Deductive_event.compile} when the handle
-    is not needed (the network lives and dies with the engine). *)
+(** Subscribe an atom — the [~share] hook engines pass to
+    {!Incremental.create} / {!Deductive_event.compile}.  Reuses the node
+    of a structurally-equal atom subscribed before, else compiles a
+    fresh one.  The matcher gates the envelope, then evaluates the
+    payload through the node's memo; it behaves exactly like the
+    per-rule default matcher (same substitution sets, same
+    {!Incremental.atomic_matcher_runs} accounting on real runs). *)
 
 (** {1 Observability} *)
 
 val metrics : t -> Obs.Metrics.t
 (** The registry the network's cells live in (the one passed to
-    {!create}, or the private one): [alpha.nodes] (live shared nodes =
-    distinct atomic patterns), [alpha.registrations] (live
-    subscriptions; [/ alpha.nodes] = sharing factor),
+    {!create}, or the private one): [alpha.nodes] (shared nodes =
+    distinct atomic patterns), [alpha.registrations]
+    (subscriptions; [/ alpha.nodes] = sharing factor),
     [alpha.evaluations] (real payload-matcher runs, i.e. memo misses),
     [alpha.hits] (matcher calls served from the memo) and
     [alpha.fanout] (substitutions delivered to subscribers, fresh +

@@ -1,14 +1,11 @@
 (* Shared beta network: one join pipeline per distinct composite
    sub-query, fanned out to every subscribing rule.  See beta.mli for
-   the contract.  Bucketing, refcounts and shedding live in
-   {!Node_bucket} (shared with the alpha network); the invariants kept
-   here:
+   the contract.  The invariants kept here:
 
-   - nodes are keyed by {!Event_query.composite_digest} of the
-     canonicalized (alpha-renamed) subtree plus its enclosing-window
-     context; structural equality of (canonical query, context) decides
-     within a bucket, so digest collisions cost duplicated pipelines,
-     never wrong answers;
+   - nodes are keyed by the canonicalized (alpha-renamed) subtree plus
+     its enclosing-window context and compared with structural
+     equality, so rules share exactly when their keys are equal; the
+     table lives as long as the engine that owns it;
    - a node's pipeline is stepped {e exactly once} per event per engine
      batch, whichever subscriber asks first; later subscribers in the
      same batch are served from the generation memo.  [begin_batch]
@@ -31,34 +28,30 @@ open Xchange_event
 open Xchange_obs
 
 type pnode = {
-  p_q : Event_query.t;  (* canonical form — the sharing identity *)
-  p_ctx : Clock.span option;  (* enclosing-window context, part of the key *)
-  p_key : string;  (* digest, = the bucket this node lives in *)
   pipe : Incremental.t;  (* the one pipeline all subscribers share *)
   memo : (int, Instance.t list) Hashtbl.t;
       (* event id -> canonical detections, valid for [gen] only *)
   mutable gen : int;  (* generation the memo belongs to; -1 = never stepped *)
-  mutable refs : int;  (* live handles; 0 = released, node is dead *)
 }
 
-type handle = pnode
+(* (canonical subtree, enclosing-window context) *)
+module Keys = Hashtbl.Make (struct
+  type t = Event_query.t * Clock.span option
 
-module Net = Node_bucket.Make (struct
-  type t = pnode
-  type key = Event_query.t * Clock.span option
-
-  let equal (q, ctx) n = n.p_q = q && n.p_ctx = ctx
-  let bucket n = n.p_key
-  let refs n = n.refs
-  let set_refs n r = n.refs <- r
+  let equal = ( = )
+  (* the whole key: the default [Hashtbl.hash] stops after 10 values,
+     which atoms often share (label, element names) before the
+     constants that tell them apart *)
+  let hash = Hashtbl.hash_param 256 256
 end)
 
 type t = {
-  net : Net.t;
+  nodes : pnode Keys.t;
   m : Obs.Metrics.t;
   horizon : Clock.span option;
   index : bool;
   share_atoms : (Event_query.atomic -> Incremental.atom_matcher) option;
+  mutable registrations : int;
   mutable generation : int;
   mutable steps : int;
   mutable hits : int;
@@ -66,34 +59,31 @@ type t = {
 }
 
 let join_stats t =
-  Net.fold
-    (fun n acc -> Incremental.sum_join_stats [ acc; Incremental.join_stats n.pipe ])
-    t.net Incremental.zero_join_stats
+  Keys.fold
+    (fun _ n acc -> Incremental.sum_join_stats [ acc; Incremental.join_stats n.pipe ])
+    t.nodes Incremental.zero_join_stats
 
 let live_instances t =
-  Net.fold (fun n acc -> acc + Incremental.live_instances n.pipe) t.net 0
+  Keys.fold (fun _ n acc -> acc + Incremental.live_instances n.pipe) t.nodes 0
 
-let default_digest (q, ctx) = Event_query.composite_digest ~ctx q
-
-let create ?metrics ?(digest = default_digest) ?horizon ?(index = true) ?share_atoms ()
-    =
+let create ?metrics ?horizon ?(index = true) ?share_atoms () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
     {
-      net = Net.create ~name:"Beta" ~digest;
+      nodes = Keys.create 64;
       m;
       horizon;
       index;
       share_atoms;
+      registrations = 0;
       generation = 0;
       steps = 0;
       hits = 0;
       fanout = 0;
     }
   in
-  Obs.Metrics.gauge_fn m "beta.nodes" (fun () -> float_of_int (Net.distinct t.net));
-  Obs.Metrics.gauge_fn m "beta.registrations" (fun () ->
-      float_of_int (Net.registrations t.net));
+  Obs.Metrics.gauge_fn m "beta.nodes" (fun () -> float_of_int (Keys.length t.nodes));
+  Obs.Metrics.gauge_fn m "beta.registrations" (fun () -> float_of_int t.registrations);
   Obs.Metrics.counter_fn m "beta.steps" (fun () -> t.steps);
   Obs.Metrics.counter_fn m "beta.hits" (fun () -> t.hits);
   Obs.Metrics.counter_fn m "beta.fanout" (fun () -> t.fanout);
@@ -130,27 +120,21 @@ let shareable t (q : Event_query.t) =
          | Some h -> (
              match Event_query.max_window q with Some w -> w <= h | None -> false))
 
-let register t ~ctx q =
-  if not (shareable t q) then None
-  else
-    let cq, _ = Event_query.canonicalize q in
-    let node, _fresh =
-      Net.register t.net (cq, ctx) ~build:(fun ~digest ->
-          {
-            p_q = cq;
-            p_ctx = ctx;
-            p_key = digest;
-            pipe =
-              Incremental.create_sub ?horizon:t.horizon ~index:t.index
-                ?share:t.share_atoms ~ctx cq;
-            memo = Hashtbl.create 8;
-            gen = -1;
-            refs = 0;  (* Net.register sets the first reference *)
-          })
-    in
-    Some node
-
-let release t node = Net.release t.net node
+let node t ((cq, ctx) as key) =
+  match Keys.find_opt t.nodes key with
+  | Some n -> n
+  | None ->
+      let n =
+        {
+          pipe =
+            Incremental.create_sub ?horizon:t.horizon ~index:t.index ?share:t.share_atoms
+              ~ctx cq;
+          memo = Hashtbl.create 8;
+          gen = -1;
+        }
+      in
+      Keys.add t.nodes key n;
+      n
 
 (* Step the shared pipeline once per event per generation; every other
    subscriber is served the memoized canonical detections. *)
@@ -169,7 +153,7 @@ let step_memo t node (e : Event.t) =
       Hashtbl.add node.memo e.Event.id r;
       r
 
-let matcher t node ~rename : Incremental.subtree_matcher =
+let projection t node ~rename : Incremental.subtree_matcher =
   let identity = List.for_all (fun (c, o) -> String.equal c o) rename in
   let project =
     if identity then fun i -> i
@@ -201,6 +185,9 @@ let matcher t node ~rename : Incremental.subtree_matcher =
 
 let subscribe t ~ctx q =
   if not (shareable t q) then None
-  else
-    let _, rename = Event_query.canonicalize q in
-    register t ~ctx q |> Option.map (fun node -> matcher t node ~rename)
+  else begin
+    let cq, rename = Event_query.canonicalize q in
+    let node = node t (cq, ctx) in
+    t.registrations <- t.registrations + 1;
+    Some (projection t node ~rename)
+  end

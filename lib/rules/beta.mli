@@ -11,14 +11,15 @@
     the rule count, and subscribers receive the detections through a
     thin projection.
 
-    {b Sharing key.}  Nodes are keyed by
-    {!Xchange_event.Event_query.composite_digest} of the
+    {b Sharing key.}  Nodes are keyed by the
     {!Xchange_event.Event_query.canonicalize}d subtree together with
-    its enclosing-window context — rules share exactly when detection
-    semantics are identical, including across different variable names
-    (subscribers rename answers back through the canonicalization
-    bijection).  Digest buckets verify structural equality, so
-    collisions cost duplicated pipelines, never wrong answers.
+    its enclosing-window context, compared with structural equality —
+    rules share exactly when detection semantics are identical,
+    including across different variable names (subscribers rename
+    answers back through the canonicalization bijection).  Nodes live
+    as long as the engine: a rule set only changes by building a new
+    engine ({!Xchange_rules.Engine.load_ruleset}, node recovery), so
+    nothing is ever unsubscribed.
 
     {b What stays per rule.}  Selection, consumption and firing:
     consuming rules filter the shared output against their consumed
@@ -61,12 +62,8 @@ open Xchange_obs
 
 type t
 
-type handle
-(** One live subscription of one rule's subtree to a shared node. *)
-
 val create :
   ?metrics:Obs.Metrics.t ->
-  ?digest:(Event_query.t * Clock.span option -> string) ->
   ?horizon:Clock.span ->
   ?index:bool ->
   ?share_atoms:(Event_query.atomic -> Incremental.atom_matcher) ->
@@ -74,15 +71,10 @@ val create :
   t
 (** [metrics] registers the [beta.*] cells below in an existing
     registry (e.g. the owning engine's) instead of a private one.
-    [digest] overrides
-    the structural key function — only for tests that force digest
-    collisions to exercise the in-bucket structural-equality
-    verification; production callers use the default
-    ({!Event_query.composite_digest} over the canonical query and
-    context).  [horizon] and [index] must match the subscribing
-    engines' settings (they shape the pipelines); [share_atoms] is the
-    alpha network's {!Alpha.subscribe}, so shared pipelines share
-    atomic evaluation too. *)
+    [horizon] and [index] must match the subscribing engines' settings
+    (they shape the pipelines); [share_atoms] is the alpha network's
+    {!Alpha.subscribe}, so shared pipelines share atomic evaluation
+    too. *)
 
 val begin_batch : t -> unit
 (** Open a new memo generation.  Must be called once per engine entry
@@ -90,36 +82,24 @@ val begin_batch : t -> unit
     runs; stale memo entries from the previous batch are invalidated
     lazily per node. *)
 
-val register : t -> ctx:Clock.span option -> Event_query.t -> handle option
-(** Subscribe a composite subtree occurring under enclosing-window
-    context [ctx]: reuses the node of a semantically-identical subtree
-    registered before, else compiles a fresh shared pipeline.  [None]
-    when the subtree is not shareable (see above). *)
-
-val matcher : t -> handle -> rename:(string * string) list -> Incremental.subtree_matcher
-(** The shared matcher behind a handle: memoized pipeline step, then
-    projection through [rename] (the canonical -> original variable
-    mapping from {!Event_query.canonicalize} of the subscriber's own
-    subtree).  Behaves exactly like the private compilation it replaces
-    (same instances — property-tested). *)
-
-val release : t -> handle -> unit
-(** Drop one subscription; the shared node — pipeline, stores, memo —
-    is shed when its last subscriber releases.  Releasing an
-    already-released handle is an error ([Invalid_argument]). *)
-
 val subscribe : t -> ctx:Clock.span option -> Event_query.t -> Incremental.subtree_matcher option
-(** [register] + [matcher] with the subscriber's own canonicalization
-    mapping — the [~share_sub] hook engines pass to
-    {!Incremental.create} / {!Deductive_event.compile} when the handle
-    is not needed (the network lives and dies with the engine). *)
+(** Subscribe a composite subtree occurring under enclosing-window
+    context [ctx] — the [~share_sub] hook engines pass to
+    {!Incremental.create} / {!Deductive_event.compile}.  Reuses the node
+    of a semantically-identical subtree subscribed before, else compiles
+    a fresh shared pipeline; [None] when the subtree is not shareable
+    (see above).  The matcher steps the pipeline through the generation
+    memo, then renames the detections into the subscriber's own
+    variable names (the canonical -> original mapping of
+    {!Event_query.canonicalize}).  It behaves exactly like the private
+    compilation it replaces (same instances — property-tested). *)
 
 (** {1 Observability} *)
 
 val metrics : t -> Obs.Metrics.t
 (** The registry the network's cells live in (the one passed to
-    {!create}, or the private one): [beta.nodes] (live shared pipelines
-    = distinct subtrees), [beta.registrations] (live subscriptions;
+    {!create}, or the private one): [beta.nodes] (shared pipelines =
+    distinct subtrees), [beta.registrations] (subscriptions;
     [/ beta.nodes] = sharing factor), [beta.steps] (real pipeline
     steps, i.e. memo misses), [beta.hits] (matcher calls served from
     the generation memo), [beta.fanout] (instances delivered to

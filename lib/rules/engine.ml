@@ -43,7 +43,8 @@ type t = {
   remote_deps : ([ `Doc | `Rdf ] * string) list;
       (** remote URIs any rule/view/procedure condition can touch *)
   clocked_remote_deps : ([ `Doc | `Rdf ] * string) list;
-      (** remote URIs reachable from timer-bearing rules only *)
+      (** remote URIs an advance can reach: those of the timer-bearing
+          rules, or all of them when a derivation rule has timers *)
   m : Obs.Metrics.t;
   c : cells;
 }
@@ -159,10 +160,17 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
   in
   let all_crs = Array.to_list compiled in
   let remote_deps = deps_of all_crs in
+  (* an event a derivation timer derives on advance can reach any rule *)
   let clocked_remote_deps =
-    match List.filter (fun cr -> Event_query.has_timers cr.rule.Eca.event) all_crs with
-    | [] -> []  (* no timer can fire, so advancing needs no prefetch *)
-    | timed -> deps_of timed
+    if
+      List.exists
+        (fun (r : Deductive_event.rule) -> Event_query.has_timers r.Deductive_event.trigger)
+        (Ruleset.all_event_rules root)
+    then remote_deps
+    else
+      match List.filter (fun cr -> Event_query.has_timers cr.rule.Eca.event) all_crs with
+      | [] -> []  (* no timer can fire, so advancing needs no prefetch *)
+      | timed -> deps_of timed
   in
   (* Discrimination: every atomic sub-query of every rule, keyed by its
      event label and what its payload pattern requires, so an event
@@ -378,8 +386,10 @@ let clocked_remote_resources t = t.clocked_remote_deps
 let min_opt a b =
   match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (min x y)
 
-(* only clocked rules can hold a deadline: the others have no timers *)
+(* only clocked rules and the derivation network can hold a deadline:
+   the other rules have no timers *)
 let next_deadline t =
   List.fold_left
     (fun acc i -> min_opt acc (Incremental.next_deadline t.compiled.(i).engine))
-    None t.clocked
+    (Deductive_event.next_deadline t.derivation)
+    t.clocked

@@ -120,14 +120,16 @@ val remote_resources : t -> ([ `Doc | `Rdf ] * string) list
     recomputed by {!load_ruleset}. *)
 
 val clocked_remote_resources : t -> ([ `Doc | `Rdf ] * string) list
-(** Same, restricted to timer-bearing rules — the prefetch set for
-    engine {!advance}.  Empty when no rule has absence timers. *)
+(** The prefetch set for engine {!advance}: the remote URIs of the
+    timer-bearing rules, or all of {!remote_resources} when an
+    event-derivation rule has absence timers (the event it derives on
+    an advance can reach any rule).  Empty when nothing has absence
+    timers. *)
 
 val next_deadline : t -> Clock.time option
-(** Earliest pending absence deadline across the clocked rules, the
-    only ones that can hold one ([None] when no timer is armed).
-    Event-derivation timers are not included; a periodic heartbeat
-    still covers those. *)
+(** Earliest pending absence deadline across the clocked rules and the
+    event-derivation network, the only ones that can hold one ([None]
+    when no timer is armed). *)
 
 (** {1 Dispatch observability} *)
 

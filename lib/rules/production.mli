@@ -20,21 +20,14 @@ type rule = { name : string; condition : Condition.t; action : Action.t }
 
 type t
 
-val create : ?share:bool -> rule list -> t
-(** [share] (default: on unless [XCHANGE_NO_SHARE=1]; an explicit
-    [~share] wins) groups rules with structurally equal conditions so
-    each distinct condition is evaluated once per polling generation and
-    the answers served to every member.  Any action execution starts a new generation —
-    actions can mutate what a condition reads, so a rule polled after a
-    firing re-evaluates instead of reading a stale cache; shared and
-    unshared firings are therefore identical.  Per-rule [previous]
-    answer sets (the transition semantics) stay private. *)
+val create : rule list -> t
+(** Each rule keeps its own [previous] answer set (the transition
+    semantics) and evaluates its own condition on every cycle. *)
 
 val metrics : t -> Obs.Metrics.t
 (** The engine's registry: [production.cycles],
-    [production.condition_evaluations], [production.condition_hits]
-    (evaluations served from a shared-condition group cache),
-    [production.firings], [production.errors]. *)
+    [production.condition_evaluations], [production.firings],
+    [production.errors]. *)
 
 val poll :
   env:Condition.env ->

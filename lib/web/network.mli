@@ -175,10 +175,10 @@ val add_ticker :
 
 val enable_heartbeat : t -> period:Clock.span -> unit
 (** Advance every node's engine each period (one ticker per
-    partition).  Engine absence deadlines are also scheduled precisely
-    as occurrences of their own, so the heartbeat is only needed as a
-    safety net for derivation timers and for engines whose deadlines
-    arise outside message processing. *)
+    partition).  Engine absence deadlines, event-derivation timers
+    included, are also scheduled precisely as occurrences of their own,
+    so the heartbeat is only needed as a safety net for engines whose
+    deadlines arise outside message processing. *)
 
 val run : t -> until:Clock.time -> unit
 (** Execute every occurrence due at or before [until] in time order,

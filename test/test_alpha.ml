@@ -3,9 +3,8 @@
    base — and memoizing their runs — may never change which rules fire,
    with which bindings, in which order.  Shared and unshared engines are
    compared end to end under both dispatch paths; unit pins cover the
-   sharing mechanics themselves (digest canonicality, collision safety,
-   fanout accounting, node shedding on rule removal, and the production
-   engine's generation-guarded condition cache). *)
+   sharing mechanics themselves (the sharing key, memo and fanout
+   accounting, engine wiring). *)
 
 open Xchange
 
@@ -99,56 +98,57 @@ let prop_shared_modes =
     (QCheck.pair queries_arb stream_arb)
     shared_prop
 
-(* ---- digest canonicality ---- *)
+(* ---- the sharing key ---- *)
 
-let test_digest_canonical () =
-  let q_ab =
-    Qterm.el "r" ~attrs:[ ("a", Qterm.A_is "1"); ("b", Qterm.A_var "V") ]
-      [ Qterm.pos (Qterm.var "X") ]
-  in
-  let q_ba =
-    Qterm.el "r" ~attrs:[ ("b", Qterm.A_var "V"); ("a", Qterm.A_is "1") ]
-      [ Qterm.pos (Qterm.var "X") ]
-  in
-  (* attribute order has no matching semantics: same digest *)
-  Alcotest.(check string) "attr order canonicalised" (Qterm.digest q_ab) (Qterm.digest q_ba);
-  (* everything that changes matching changes the digest *)
-  let base = Qterm.el "r" [ Qterm.pos (Qterm.var "X") ] in
+let atom ?label ?sender pattern : Event_query.atomic =
+  match Event_query.on ?label ?sender pattern with
+  | Event_query.Atomic a -> a
+  | _ -> assert false
+
+let test_sharing_key () =
+  let net = Alpha.create () in
+  let nodes () = cells (Alpha.metrics net) "alpha.nodes" in
+  let base () = Qterm.el "r" [ Qterm.pos (Qterm.var "X") ] in
+  let (_ : Incremental.atom_matcher) = Alpha.subscribe net (atom ~label:"a" (base ())) in
+  (* everything that changes matching gets its own node *)
   let distinct =
     [
-      Qterm.el "s" [ Qterm.pos (Qterm.var "X") ];  (* label *)
-      Qterm.el "r" [ Qterm.pos (Qterm.var "Y") ];  (* variable name *)
-      Qterm.el "r" [ Qterm.without (Qterm.var "X") ];  (* polarity *)
-      Qterm.el "r" ~spec:Qterm.Total [ Qterm.pos (Qterm.var "X") ];  (* spec *)
-      Qterm.el "r" ~ord:Term.Ordered [ Qterm.pos (Qterm.var "X") ];  (* order *)
-      Qterm.el "r" ~attrs:[ ("a", Qterm.A_any) ] [ Qterm.pos (Qterm.var "X") ];
+      atom ~label:"b" (base ());  (* envelope: event label *)
+      atom ~label:"a" ~sender:"s.example" (base ());  (* envelope: sender *)
+      atom ~label:"a" (Qterm.el "s" [ Qterm.pos (Qterm.var "X") ]);  (* label *)
+      atom ~label:"a" (Qterm.el "r" [ Qterm.pos (Qterm.var "Y") ]);  (* variable name *)
+      atom ~label:"a" (Qterm.el "r" [ Qterm.without (Qterm.var "X") ]);  (* polarity *)
+      atom ~label:"a" (Qterm.el "r" ~spec:Qterm.Total [ Qterm.pos (Qterm.var "X") ]);  (* spec *)
+      atom ~label:"a" (Qterm.el "r" ~ord:Term.Ordered [ Qterm.pos (Qterm.var "X") ]);  (* order *)
+      atom ~label:"a"
+        (Qterm.el "r" ~attrs:[ ("a", Qterm.A_any) ] [ Qterm.pos (Qterm.var "X") ]);
     ]
   in
   List.iteri
-    (fun i q ->
-      Alcotest.(check bool)
-        (Printf.sprintf "variant %d digests differently" i)
-        false
-        (String.equal (Qterm.digest base) (Qterm.digest q)))
+    (fun i a ->
+      let (_ : Incremental.atom_matcher) = Alpha.subscribe net a in
+      Alcotest.(check int) (Printf.sprintf "variant %d gets its own node" i) (i + 2) (nodes ()))
     distinct;
-  (* the atomic digest also covers the envelope *)
-  let atom ?label ?sender p : Event_query.atomic =
-    match Event_query.on ?label ?sender p with
-    | Event_query.Atomic a -> a
-    | _ -> assert false
-  in
-  Alcotest.(check bool) "label part of atomic digest" false
-    (String.equal
-       (Event_query.atomic_digest (atom ~label:"a" base))
-       (Event_query.atomic_digest (atom ~label:"b" base)));
-  Alcotest.(check string) "atomic digest deterministic"
-    (Event_query.atomic_digest (atom ~label:"a" base))
-    (Event_query.atomic_digest (atom ~label:"a" base))
+  (* an equal atom, built afresh, shares *)
+  let (_ : Incremental.atom_matcher) = Alpha.subscribe net (atom ~label:"a" (base ())) in
+  Alcotest.(check int) "equal atom shares" (List.length distinct + 1) (nodes ());
+  Alcotest.(check int) "every subscription counted" (List.length distinct + 2)
+    (cells (Alpha.metrics net) "alpha.registrations")
+
+(* every subscription of a structurally-equal atom lands on one node *)
+let prop_one_node_per_atom =
+  QCheck.Test.make ~name:"Alpha: one node per distinct atom" ~count:200 queries_arb
+    (fun queries ->
+      let atoms = List.concat_map Event_query.atoms queries in
+      let net = Alpha.create () in
+      List.iter
+        (fun a -> ignore (Alpha.subscribe net a : Incremental.atom_matcher))
+        (atoms @ atoms);
+      let s = cells (Alpha.metrics net) in
+      s "alpha.nodes" = List.length (List.sort_uniq compare atoms)
+      && s "alpha.registrations" = 2 * List.length atoms)
 
 (* ---- alpha network mechanics ---- *)
-
-let atom ?label pattern : Event_query.atomic =
-  match Event_query.on ?label pattern with Event_query.Atomic a -> a | _ -> assert false
 
 let pat_x = Qterm.el "p" [ Qterm.pos (Qterm.var "X") ]
 
@@ -179,21 +179,6 @@ let test_sharing_and_fanout () =
   Alcotest.(check int) "no extra evaluation" 1 (s "alpha.evaluations");
   Alcotest.(check int) "no extra hit" 2 (s "alpha.hits")
 
-let test_collision_safety () =
-  (* every atom hashes to the same bucket: structural equality inside
-     the bucket must keep the nodes distinct and the answers correct *)
-  let net = Alpha.create ~digest:(fun _ -> "collide") () in
-  let m_p = Alpha.subscribe net (atom ~label:"t" pat_x) in
-  let m_q = Alpha.subscribe net (atom ~label:"t" (Qterm.el "q" [ Qterm.pos (Qterm.var "X") ])) in
-  let s = cells (Alpha.metrics net) in
-  Alcotest.(check int) "collision keeps nodes distinct" 2 (s "alpha.nodes");
-  let e = ev (Term.elem "p" [ Term.text "v" ]) in
-  Alcotest.(check int) "p matches" 1 (List.length (m_p e));
-  Alcotest.(check int) "q refutes" 0 (List.length (m_q e));
-  (* and an equal atom still shares despite the collision *)
-  let (_ : Incremental.atom_matcher) = Alpha.subscribe net (atom ~label:"t" pat_x) in
-  Alcotest.(check int) "still two nodes" 2 (cells (Alpha.metrics net) "alpha.nodes")
-
 let test_memo_lru_retention () =
   (* the memo is a bounded LRU: a burst of fresh event ids past the cap
      evicts only the coldest entries.  The old reset-on-cap wipe
@@ -214,25 +199,6 @@ let test_memo_lru_retention () =
   ignore (m hot);
   Alcotest.(check int) "hot id survived the burst" evals
     (cells (Alpha.metrics net) "alpha.evaluations")
-
-let test_release_sheds_nodes () =
-  let net = Alpha.create () in
-  let a = atom ~label:"t" pat_x in
-  let h1 = Alpha.register net a in
-  let h2 = Alpha.register net a in
-  Alcotest.(check int) "shared while alive" 1 (cells (Alpha.metrics net) "alpha.nodes");
-  Alpha.release net h1;
-  Alcotest.(check int) "survives first release" 1 (cells (Alpha.metrics net) "alpha.nodes");
-  Alcotest.(check int) "registration count drops" 1
-    (cells (Alpha.metrics net) "alpha.registrations");
-  Alpha.release net h2;
-  Alcotest.(check int) "last release sheds the node" 0 (cells (Alpha.metrics net) "alpha.nodes");
-  Alcotest.check_raises "double release rejected"
-    (Invalid_argument "Alpha.release: handle already released") (fun () ->
-      Alpha.release net h2);
-  (* re-registering after shedding builds a fresh node *)
-  let _ = Alpha.register net a in
-  Alcotest.(check int) "fresh node" 1 (cells (Alpha.metrics net) "alpha.nodes")
 
 (* ---- engine wiring: ECA and derivation atoms share one network ---- *)
 
@@ -274,104 +240,13 @@ let test_engine_alpha_stats () =
        (fun (x : Obs.Metrics.sample) -> String.starts_with ~prefix:"alpha." x.Obs.Metrics.name)
        (Obs.Metrics.snapshot (Engine.metrics plain)))
 
-(* ---- production rules: generation-guarded condition cache ---- *)
-
-let log_cond = Condition.In (Condition.Local "/log", Qterm.el "row" [ Qterm.pos (Qterm.var "X") ])
-
-let production_harness () =
-  let store = Store.create () in
-  Store.add_doc store "/log"
-    (Term.elem ~ord:Term.Unordered "log" [ Term.elem "row" [ Term.text "a" ] ]);
-  let ops =
-    {
-      Action.update = (fun u -> Result.map fst (Store.apply store u));
-      txn_update = (fun u -> Result.map fst (Store.apply store u));
-      send = (fun ~recipient:_ ~label:_ ~ttl:_ ~delay:_ _ -> ());
-      log = (fun _ -> ());
-      now = (fun () -> 0);
-      checkpoint = (fun () -> fun () -> ());
-    }
-  in
-  (store, ops)
-
-let no_procs _ = None
-
-let test_production_condition_cache () =
-  let rules =
-    [
-      { Production.name = "w"; condition = log_cond; action = Action.Nop };
-      { Production.name = "r"; condition = log_cond; action = Action.Nop };
-    ]
-  in
-  let engine = Production.create ~share:true rules in
-  let store, ops = production_harness () in
-  let poll () = Production.poll ~env:(Store.env store) ~ops ~procs:no_procs engine in
-  (* cycle 1: both rules see the fresh answer and fire; the firings
-     start new generations, so both evaluate *)
-  Alcotest.(check int) "both fire on the new answer" 2 (List.length (poll ()));
-  (* cycle 2: nothing fresh, no action runs: the second rule is served
-     from the shared group's cache *)
-  Alcotest.(check int) "quiet cycle" 0 (List.length (poll ()));
-  let s = cells (Production.metrics engine) in
-  Alcotest.(check int) "three evaluations" 3 (s "production.condition_evaluations");
-  Alcotest.(check int) "one cache hit" 1 (s "production.condition_hits");
-  Alcotest.(check int) "two firings" 2 (s "production.firings");
-  (* unshared: same firings, every rule pays its own evaluation *)
-  let plain = Production.create ~share:false rules in
-  let store2, ops2 = production_harness () in
-  let poll2 () = Production.poll ~env:(Store.env store2) ~ops:ops2 ~procs:no_procs plain in
-  Alcotest.(check int) "unshared fires the same" 2 (List.length (poll2 ()));
-  Alcotest.(check int) "unshared quiet cycle" 0 (List.length (poll2 ()));
-  let s2 = cells (Production.metrics plain) in
-  Alcotest.(check int) "four evaluations" 4 (s2 "production.condition_evaluations");
-  Alcotest.(check int) "no hits" 0 (s2 "production.condition_hits")
-
-let test_production_share_equivalence () =
-  (* rule [w] mutates what the shared condition reads; rule [r] polled
-     after it must observe the post-action answers, exactly as when
-     evaluating privately *)
-  let rules =
-    [
-      {
-        Production.name = "w";
-        condition = log_cond;
-        action = Action.insert ~doc:"/log" (Construct.cel "row" [ Construct.ctext "w" ]);
-      };
-      { Production.name = "r"; condition = log_cond; action = Action.Nop };
-    ]
-  in
-  let run share =
-    let engine = Production.create ~share rules in
-    let store, ops = production_harness () in
-    let fired = ref [] in
-    for _ = 1 to 3 do
-      fired := !fired @ Production.poll ~env:(Store.env store) ~ops ~procs:no_procs engine
-    done;
-    (!fired, Option.get (Store.doc store "/log"))
-  in
-  let fired_s, doc_s = run true in
-  let fired_u, doc_u = run false in
-  Alcotest.(check int) "same firing count" (List.length fired_u) (List.length fired_s);
-  Alcotest.(check bool) "same firings" true
-    (List.for_all2
-       (fun (n1, s1) (n2, s2) -> String.equal n1 n2 && Subst.equal s1 s2)
-       fired_s fired_u);
-  Alcotest.(check bool) "same final store" true (Term.equal doc_s doc_u);
-  Alcotest.(check bool) "writer rule saw stale cache never" true
-    (List.exists (fun (n, _) -> String.equal n "r") fired_s)
-
 let suite =
   ( "alpha",
     [
       QCheck_alcotest.to_alcotest ~long:true prop_shared_modes;
-      Alcotest.test_case "digest is canonical" `Quick test_digest_canonical;
+      QCheck_alcotest.to_alcotest prop_one_node_per_atom;
+      Alcotest.test_case "sharing key is the atom" `Quick test_sharing_key;
       Alcotest.test_case "sharing, memo and fanout accounting" `Quick test_sharing_and_fanout;
-      Alcotest.test_case "digest collisions stay correct" `Quick test_collision_safety;
       Alcotest.test_case "memo LRU keeps hot ids past the cap" `Quick test_memo_lru_retention;
-      Alcotest.test_case "release sheds shared nodes" `Quick test_release_sheds_nodes;
       Alcotest.test_case "engine shares ECA and derivation atoms" `Quick test_engine_alpha_stats;
-      Alcotest.test_case "production condition cache accounting" `Quick
-        test_production_condition_cache;
-      Alcotest.test_case "production sharing = private evaluation" `Quick
-        test_production_share_equivalence;
     ] )

@@ -6,8 +6,8 @@
    bases — including alpha-equivalent twins that exercise the
    canonicalization rename, consuming rules, and a crash/recover
    differential through the WAL — plus unit pins on the sharing
-   mechanics (digest canonicality, the shareability gate, collision
-   safety, fanout accounting, node shedding, engine wiring). *)
+   mechanics (the sharing key, the shareability gate, memo and fanout
+   accounting, engine wiring). *)
 
 open Xchange
 
@@ -115,27 +115,81 @@ let pair_q v1 v2 = Event_query.conj [ on_ "a" v1; on_ "b" v2 ]
 
 let ev ?id ~t ~label payload = Event.make ?id ~occurred_at:t ~label payload
 
-(* ---- composite digest canonicality ----------------------------------- *)
+(* ---- the sharing key ------------------------------------------------ *)
 
-let test_digest_canonical () =
-  let d q = Event_query.composite_digest ~ctx:None q in
+let test_sharing_key () =
+  let net = Beta.create () in
+  let nodes () = cells (Beta.metrics net) "beta.nodes" in
+  let sub ?ctx q =
+    let (_ : Incremental.subtree_matcher) = Option.get (Beta.subscribe net ~ctx q) in
+    nodes ()
+  in
+  ignore (sub (pair_q "X" "Y"));
   (* variable names have no sharing semantics: alpha-equivalent
-     subtrees land in the same bucket *)
-  Alcotest.(check string) "alpha-equivalent queries share"
-    (d (pair_q "X" "Y"))
-    (d (pair_q "P" "Q"));
-  (* everything that changes evaluation changes the digest *)
-  Alcotest.(check bool) "join structure distinguishes" false
-    (String.equal (d (pair_q "X" "X")) (d (pair_q "X" "Y")));
-  Alcotest.(check bool) "operator distinguishes" false
-    (String.equal (d (Event_query.seq [ on_ "a" "X"; on_ "b" "Y" ])) (d (pair_q "X" "Y")));
-  Alcotest.(check bool) "window folds into the key" false
-    (String.equal
-       (d (Event_query.within (pair_q "X" "Y") 10))
-       (d (Event_query.within (pair_q "X" "Y") 20)));
-  Alcotest.(check bool) "enclosing window context distinguishes" false
-    (String.equal (Event_query.composite_digest ~ctx:(Some 10) (pair_q "X" "Y")) (d (pair_q "X" "Y")));
-  Alcotest.(check string) "digest deterministic" (d (pair_q "X" "Y")) (d (pair_q "X" "Y"))
+     subtrees share one pipeline *)
+  Alcotest.(check int) "alpha-equivalent queries share" 1 (sub (pair_q "P" "Q"));
+  (* everything that changes evaluation gets its own pipeline *)
+  Alcotest.(check int) "join structure distinguishes" 2 (sub (pair_q "X" "X"));
+  Alcotest.(check int) "operator distinguishes" 3
+    (sub (Event_query.seq [ on_ "a" "X"; on_ "b" "Y" ]));
+  Alcotest.(check int) "window is part of the key" 4 (sub (Event_query.within (pair_q "X" "Y") 10));
+  Alcotest.(check int) "a different window too" 5 (sub (Event_query.within (pair_q "X" "Y") 20));
+  Alcotest.(check int) "enclosing window context distinguishes" 6
+    (sub ~ctx:10 (pair_q "X" "Y"));
+  Alcotest.(check int) "an equal key shares" 6 (sub (Event_query.within (pair_q "U" "V") 10));
+  Alcotest.(check int) "every subscription counted" 8
+    (cells (Beta.metrics net) "beta.registrations")
+
+(* Every composite subtree of a query, the query included. *)
+let rec subtrees (q : Event_query.t) =
+  q
+  ::
+  (match q with
+  | Event_query.Atomic _ -> []
+  | Event_query.And qs | Event_query.Or qs | Event_query.Seq qs -> List.concat_map subtrees qs
+  | Event_query.Within (q, _) | Event_query.Times (_, q, _) -> subtrees q
+  | Event_query.Absent (q1, q2, _) -> subtrees q1 @ subtrees q2
+  | Event_query.Agg spec -> subtrees spec.Event_query.over
+  | Event_query.Rises spec -> subtrees spec.Event_query.r_over)
+
+(* a subscription shares exactly when its canonical subtree and its
+   context equal an earlier accepted one *)
+let prop_one_node_per_key =
+  let arb =
+    QCheck.make
+      ~print:(fun (qs, horizon) ->
+        Fmt.str "%a@ horizon %a"
+          Fmt.(list ~sep:cut (pair ~sep:sp Event_query.pp (option int)))
+          qs
+          Fmt.(option int)
+          horizon)
+      QCheck.Gen.(
+        pair
+          (list_size (int_range 1 4) (pair Gen.event_query_gen (opt (oneofl [ 10; 40 ]))))
+          (opt (oneofl [ 30; 100 ])))
+  in
+  QCheck.Test.make ~name:"Beta: one pipeline per distinct key" ~count:200 arb
+    (fun (qs, horizon) ->
+      let net = Beta.create ?horizon () in
+      let subs =
+        List.concat_map
+          (fun (q, ctx) ->
+            if Result.is_error (Event_query.validate q) then []
+            else
+              List.concat_map
+                (fun s -> [ (s, ctx); (fst (Event_query.canonicalize s), ctx) ])
+                (subtrees q))
+          qs
+      in
+      let accepted =
+        List.filter (fun (q, ctx) -> Option.is_some (Beta.subscribe net ~ctx q)) subs
+      in
+      let keys =
+        List.sort_uniq compare
+          (List.map (fun (q, ctx) -> (fst (Event_query.canonicalize q), ctx)) accepted)
+      in
+      let s = cells (Beta.metrics net) in
+      s "beta.nodes" = List.length keys && s "beta.registrations" = List.length accepted)
 
 (* ---- the shareability gate ------------------------------------------- *)
 
@@ -196,50 +250,6 @@ let test_sharing_and_fanout () =
   let s = cells (Beta.metrics net) in
   Alcotest.(check int) "no extra step" 2 (s "beta.steps");
   Alcotest.(check int) "extra hit" 3 (s "beta.hits")
-
-(* ---- digest collisions ------------------------------------------------ *)
-
-let test_collision_safety () =
-  (* every subtree hashes to the same bucket: structural equality inside
-     the bucket must keep the pipelines distinct and the answers
-     correct *)
-  let net = Beta.create ~digest:(fun _ -> "collide") () in
-  let m_and = Option.get (Beta.subscribe net ~ctx:None (pair_q "X" "Y")) in
-  let m_seq =
-    Option.get (Beta.subscribe net ~ctx:None (Event_query.seq [ on_ "b" "X"; on_ "a" "Y" ]))
-  in
-  Alcotest.(check int) "collision keeps nodes distinct" 2 (cells (Beta.metrics net) "beta.nodes");
-  Beta.begin_batch net;
-  ignore (m_and (ev ~t:1 ~label:"a" (Term.text "x")));
-  ignore (m_seq (ev ~t:1 ~label:"a" (Term.text "x")));
-  Beta.begin_batch net;
-  Alcotest.(check int) "And completes" 1
-    (List.length (m_and (ev ~t:2 ~label:"b" (Term.text "y"))));
-  Alcotest.(check int) "Seq (b before a) does not" 0
-    (List.length (m_seq (ev ~t:2 ~label:"b" (Term.text "y"))));
-  (* an alpha-equivalent query still shares despite the collision *)
-  let (_ : Incremental.subtree_matcher) =
-    Option.get (Beta.subscribe net ~ctx:None (pair_q "P" "Q"))
-  in
-  Alcotest.(check int) "still two nodes" 2 (cells (Beta.metrics net) "beta.nodes")
-
-(* ---- node shedding ---------------------------------------------------- *)
-
-let test_release_sheds_nodes () =
-  let net = Beta.create () in
-  let h1 = Option.get (Beta.register net ~ctx:None (pair_q "X" "Y")) in
-  let h2 = Option.get (Beta.register net ~ctx:None (pair_q "P" "Q")) in
-  Alcotest.(check int) "shared while alive" 1 (cells (Beta.metrics net) "beta.nodes");
-  Beta.release net h1;
-  Alcotest.(check int) "survives first release" 1 (cells (Beta.metrics net) "beta.nodes");
-  Alcotest.(check int) "registration count drops" 1 (cells (Beta.metrics net) "beta.registrations");
-  Beta.release net h2;
-  Alcotest.(check int) "last release sheds the node" 0 (cells (Beta.metrics net) "beta.nodes");
-  Alcotest.check_raises "double release rejected"
-    (Invalid_argument "Beta.release: handle already released") (fun () ->
-      Beta.release net h2);
-  let _ = Beta.register net ~ctx:None (pair_q "X" "Y") in
-  Alcotest.(check int) "fresh node after shedding" 1 (cells (Beta.metrics net) "beta.nodes")
 
 (* ---- engine wiring: ECA and derivation subtrees share one network ---- *)
 
@@ -371,11 +381,10 @@ let suite =
   ( "beta",
     [
       QCheck_alcotest.to_alcotest ~long:true prop_shared_modes;
-      Alcotest.test_case "composite digest is canonical" `Quick test_digest_canonical;
+      QCheck_alcotest.to_alcotest prop_one_node_per_key;
+      Alcotest.test_case "sharing key is canonical subtree" `Quick test_sharing_key;
       Alcotest.test_case "shareability gate" `Quick test_shareability_gate;
       Alcotest.test_case "sharing, memo and fanout accounting" `Quick test_sharing_and_fanout;
-      Alcotest.test_case "digest collisions stay correct" `Quick test_collision_safety;
-      Alcotest.test_case "release sheds shared pipelines" `Quick test_release_sheds_nodes;
       Alcotest.test_case "engine shares ECA and derivation subtrees" `Quick test_engine_beta_stats;
       Alcotest.test_case "consumption stays per-rule" `Quick test_consumption_equivalence;
       Alcotest.test_case "crash/recover re-primes shared pipelines" `Quick

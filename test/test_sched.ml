@@ -266,6 +266,63 @@ let test_absence_fires_without_heartbeat () =
   Network.run net ~until:300;
   Alcotest.(check (list string)) "deadline occurrence fired the rule" [ "no pong!" ] (Node.logs n)
 
+(* ---- derivation timers are rule timers ---- *)
+
+(* [asker] reacts to "a, then no b for 100" by checking a remote
+   catalog that only gains its product after the prefetch for [a]: the
+   reaction must read the catalog as of the deadline.  [derived] puts
+   the absence in an event-derivation rule whose [late] event the ECA
+   rule reacts to, instead of in the ECA rule's own event query. *)
+let late_program ~derived =
+  let absence =
+    Event_query.absent
+      (Event_query.on ~label:"a" (Qterm.var "E"))
+      ~then_absent:(Event_query.on ~label:"b" (Qterm.var "F"))
+      ~for_:100
+  in
+  let check =
+    Condition.In
+      (Condition.Remote "data.example/catalog", Qterm.el "product" [ Qterm.pos (Qterm.var "P") ])
+  in
+  let log = Action.log "found %s" [ Builtin.ovar "P" ] in
+  if derived then
+    Ruleset.make
+      ~rules:[ Eca.make ~name:"check" ~on:(Event_query.on ~label:"late" (Qterm.var "L")) ~if_:check log ]
+      ~event_rules:
+        [ Deductive_event.rule ~name:"late" ~derives:"late" ~trigger:absence ~payload:(Construct.ctext "late") ]
+      "asker"
+  else Ruleset.make ~rules:[ Eca.make ~name:"check" ~on:absence ~if_:check log ] "asker"
+
+let run_late ~derived ~heartbeat =
+  let net = Network.create () in
+  let asker = node_exn ~host:"asker.example" (late_program ~derived) in
+  let adder =
+    Eca.make ~name:"add"
+      ~on:(Event_query.on ~label:"add" (Qterm.var "P"))
+      (Action.insert ~doc:"/catalog" (Construct.cel "product" [ Construct.cvar "P" ]))
+  in
+  let data = node_exn ~host:"data.example" (Ruleset.make ~rules:[ adder ] "data") in
+  Store.add_doc (Node.store data) "/catalog" (Term.elem ~ord:Term.Unordered "catalog" []);
+  Network.add_node_exn net asker;
+  Network.add_node_exn net data;
+  if heartbeat then Network.enable_heartbeat net ~period:50;
+  Network.inject net ~to_:"asker.example" ~label:"a" (Term.text "x");
+  Network.run net ~until:20;
+  Network.inject net ~to_:"data.example" ~label:"add" (Term.text "ball");
+  Network.run net ~until:500;
+  Node.logs asker
+
+let test_derivation_timers_like_rule_timers () =
+  List.iter
+    (fun heartbeat ->
+      let mode = if heartbeat then "heartbeat" else "no heartbeat" in
+      let eca = run_late ~derived:false ~heartbeat in
+      Alcotest.(check (list string)) ("rule timer reads the fresh catalog, " ^ mode)
+        [ "found ball" ] eca;
+      Alcotest.(check (list string)) ("derivation timer behaves the same, " ^ mode) eca
+        (run_late ~derived:true ~heartbeat))
+    [ false; true ]
+
 (* ---- Poll and Pubsub under degraded networks ---- *)
 
 let test_poll_under_faults () =
@@ -343,6 +400,8 @@ let suite =
         test_replay_is_deterministic_under_faults;
       Alcotest.test_case "absence deadlines fire without heartbeat" `Quick
         test_absence_fires_without_heartbeat;
+      Alcotest.test_case "derivation timers act like rule timers" `Quick
+        test_derivation_timers_like_rule_timers;
       Alcotest.test_case "polling under drop/dup/jitter" `Quick test_poll_under_faults;
       Alcotest.test_case "pubsub under duplication" `Quick test_pubsub_under_faults;
     ] )
