@@ -7,7 +7,8 @@
    regressed:
 
    - wall-time fields of the indexed/cached paths ([indexed_ms],
-     [cached_ms], [us_per_event_indexed], ...): fail when
+     [cached_ms], [us_per_event_indexed], ...), of the WAL phases and
+     of engine construction ([create_ms]): fail when
      current > TOL * max(baseline, floor).  The floor absorbs
      Sys.time granularity and machine noise on sub-millisecond smoke
      cases; TOL = 2.0 is the ">2x slowdown" contract.
@@ -22,7 +23,7 @@
      the compiler stopped refuting decoys before descent.
    - the subscription-index candidate count ([candidates_per_publish]):
      deterministic for a fixed subscription set, and the whole point of
-     the trie is that it does NOT scale with registrations — growth
+     the index is that it does NOT scale with registrations — growth
      beyond 1.5x the baseline (over a small floor) means publish
      dispatch degraded back towards a linear scan.
    - the shared-alpha work counter ([alpha_evals_per_event_shared]):
@@ -80,8 +81,10 @@ let is_time_gate key =
   ((contains key "indexed" || contains key "cached" || contains key "plan")
   && (Filename.check_suffix key "_ms" || contains key "us_per_event"))
   (* WAL throughput phases (BENCH_wal.json): append / decode / physical
-     redo / end-to-end node recovery are all hot durability paths *)
-  || List.mem key [ "append_ms"; "decode_ms"; "replay_ms"; "recover_ms" ]
+     redo / end-to-end node recovery are all hot durability paths; and
+     engine construction (BENCH_rules.json), which goes quadratic when
+     a query-keyed table stops hashing the whole key *)
+  || List.mem key [ "append_ms"; "decode_ms"; "replay_ms"; "recover_ms"; "create_ms" ]
 
 let is_prune_gate key = key = "fingerprint_pruned" || key = "arity_pruned"
 let is_candidates_gate key = key = "candidates_per_publish"

@@ -892,7 +892,7 @@ let a1 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* A2 — ablation: label-indexed event dispatch in the engine           *)
+(* A2 — ablation: sub-index event dispatch in the engine              *)
 (* ------------------------------------------------------------------ *)
 
 let a2 () =
@@ -933,7 +933,7 @@ let a2 () =
   print_table
     ~title:
       (Printf.sprintf
-         "A2 (ablation) — label-indexed dispatch, %d events over n single-label rules" events_n)
+         "A2 (ablation) — sub-index dispatch, %d events over n single-label rules" events_n)
     ~header:[ "rules"; "no index ms"; "indexed ms"; "speedup" ]
     rows
 

@@ -1,6 +1,6 @@
 (* Subscription-index benchmarks (HACKING.md "Subscription index"):
-   publish dispatch through the topic-keyed [Sub_index] ([Pubsub.Registry])
-   vs the linear scan over all registered subscriptions.
+   publish dispatch through [Sub_index] vs the linear scan over all
+   registered subscriptions.
 
    Two sweeps over the registered-subscriber count, plus one
    store-attached case:
@@ -16,15 +16,19 @@
    - proportional: registrations spread uniformly over 1000 topics, so
      the published topic's audience grows with the tier.  Cost per
      {e match} stays flat — the latency growth is exactly the fan-out;
-   - attached: a store-backed registry ([Registry.attach]) serving
-     [Pubsub.subscribers] through the [Store.set_dynamic] answerer vs
-     [~index:false], the plain document interpreter (the differential
-     oracle, same code path as [XCHANGE_NO_SUBINDEX=1]).
+   - attached: a store-backed registry ([Pubsub.Registry.attach])
+     serving [Pubsub.subscribers] through the [Store.set_dynamic]
+     answerer vs the plain document interpreter (what a store without
+     a registry runs on a query-cache miss, and what
+     [XCHANGE_NO_SUBINDEX=1] selects).
 
-   Every case asserts the indexed host set equals the linear-scan
-   oracle's before timing is reported.  Prints tables and emits
-   machine-readable BENCH_pubsub.json.  [~smoke] runs small tiers
-   (wired into `dune runtest`). *)
+   The sweeps register each (topic, host) pair the way an attached
+   registry does — [publish{topic{"<topic>"}}] with the host as
+   payload — and publish through [Sub_index.matching].  Every case
+   asserts the indexed host set equals the linear-scan oracle's before
+   timing is reported.  Prints tables and emits machine-readable
+   BENCH_pubsub.json.  [~smoke] runs small tiers (wired into
+   `dune runtest`). *)
 
 open Xchange
 
@@ -65,42 +69,51 @@ type row = {
   reg_us : float;  (* per-subscription incremental registration *)
   idx_us : float;  (* per-publish, through the index *)
   scan_us : float;  (* per-publish, linear scan *)
-  cand : float;  (* trie candidates per publish *)
+  cand : float;  (* index candidates per publish *)
   conf : float;  (* plan-confirmed matches per publish *)
   refut : float;  (* fingerprint-refuted bucket entries per publish *)
-  trie : int;
+  buckets : int;
 }
+
+let subscription_q topic =
+  Qterm.el "publish" [ Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.txt topic) ]) ]
 
 let sweep_case ~pair_of ~probe ~subs ~ktopics ~publishes =
   let pairs = Array.init subs pair_of in
-  let reg = Pubsub.Registry.create () in
+  let idx = Sub_index.create () in
+  let register i =
+    let t, h = pairs.(i) in
+    Sub_index.register idx (subscription_q t) h
+  in
+  let ids = Array.make subs (-1) in
   let reg_us =
     let i = ref (-1) in
     timed_us subs (fun () ->
         incr i;
-        let t, h = pairs.(!i) in
-        Pubsub.Registry.subscribe reg ~topic:t ~host:h)
+        ids.(!i) <- register !i)
   in
   let payload = Pubsub.publish ~topic:probe (Term.text "body") in
+  let hosts () =
+    Sub_index.matching idx payload
+    |> List.map (fun (_, h, _) -> h)
+    |> List.sort_uniq String.compare
+  in
   let oracle = scan_subscribers pairs probe in
-  check_hosts
-    (Printf.sprintf "%d subs / topic %s" subs probe)
-    (Pubsub.Registry.match_publish reg payload)
-    oracle;
-  let s0 = Pubsub.Registry.stats reg in
-  let idx_us = timed_us publishes (fun () -> Pubsub.Registry.match_publish reg payload) in
-  let s1 = Pubsub.Registry.stats reg in
+  check_hosts (Printf.sprintf "%d subs / topic %s" subs probe) (hosts ()) oracle;
+  let s0 = Sub_index.stats idx in
+  let idx_us = timed_us publishes hosts in
+  let s1 = Sub_index.stats idx in
   let scan_iters = if subs >= 100_000 then 5 else 50 in
   let scan_us = timed_us scan_iters (fun () -> scan_subscribers pairs probe) in
   let per c = float_of_int c /. float_of_int publishes in
   (* churn: removal is incremental too — no rebuild, and the hot bucket
      really empties (then restore it so the reported stats make sense) *)
   let fanout = List.length oracle in
-  let hot_pairs = List.filter (fun (t, _) -> String.equal t probe) (Array.to_list pairs) in
-  List.iter (fun (t, h) -> ignore (Pubsub.Registry.unsubscribe reg ~topic:t ~host:h)) hot_pairs;
-  check_hosts "post-unsubscribe" (Pubsub.Registry.match_publish reg payload) [];
-  List.iter (fun (t, h) -> Pubsub.Registry.subscribe reg ~topic:t ~host:h) hot_pairs;
-  check_hosts "post-resubscribe" (Pubsub.Registry.match_publish reg payload) oracle;
+  let hot = List.filter (fun i -> String.equal (fst pairs.(i)) probe) (List.init subs Fun.id) in
+  List.iter (fun i -> ignore (Sub_index.remove idx ids.(i))) hot;
+  check_hosts "post-unsubscribe" (hosts ()) [];
+  List.iter (fun i -> ids.(i) <- register i) hot;
+  check_hosts "post-resubscribe" (hosts ()) oracle;
   {
     subs;
     topics = ktopics + 1;
@@ -112,27 +125,33 @@ let sweep_case ~pair_of ~probe ~subs ~ktopics ~publishes =
     cand = per Sub_index.(s1.candidates - s0.candidates);
     conf = per Sub_index.(s1.confirmed - s0.confirmed);
     refut = per Sub_index.(s1.refuted - s0.refuted);
-    trie = Pubsub.Registry.(stats reg).Sub_index.nodes;
+    buckets = Sub_index.buckets idx;
   }
 
 (* store-attached: the fan-out rule's register query served by the
-   change-feed-maintained mirror vs the plain interpreter *)
+   change-feed-maintained mirror vs the plain interpreter; the oracle
+   is a store without a registry holding the same register *)
 let attached_case ~subs ~ktopics ~fanout ~queries =
   let entry (t, h) =
     Term.elem "sub" [ Term.elem "topic" [ Term.text t ]; Term.elem "host" [ Term.text h ] ]
   in
   let pairs = Array.init subs (selective_pair ~fanout ~ktopics) in
-  let store = Store.create () in
-  Store.add_doc store Pubsub.subscribers_doc
-    (Term.elem ~ord:Term.Unordered "subscribers"
-       (Array.to_list pairs |> List.map entry));
+  let register =
+    Term.elem ~ord:Term.Unordered "subscribers" (Array.to_list pairs |> List.map entry)
+  in
+  let store = Store.create () and plain = Store.create () in
+  Store.add_doc store Pubsub.subscribers_doc register;
+  Store.add_doc plain Pubsub.subscribers_doc register;
   let reg = Pubsub.Registry.attach store in
-  let oracle = Pubsub.subscribers ~index:false store ~topic:hot in
+  let oracle = Pubsub.subscribers plain ~topic:hot in
   check_hosts "attached" (Pubsub.subscribers store ~topic:hot) oracle;
   check_hosts "attached scan" oracle (scan_subscribers pairs hot);
   let idx_us = timed_us queries (fun () -> Pubsub.subscribers store ~topic:hot) in
+  let seed = Option.get (Subst.of_list [ ("T", Term.text hot) ]) in
   let scan_iters = max 5 (queries / 20) in
-  let scan_us = timed_us scan_iters (fun () -> Pubsub.subscribers ~index:false store ~topic:hot) in
+  let scan_us =
+    timed_us scan_iters (fun () -> Simulate.matches_anywhere ~seed Pubsub.sub_entry_q register)
+  in
   (reg, store, subs, List.length oracle, queries, idx_us, scan_us)
 
 (* ---- JSON emission (hand-rolled; no deps) ---- *)
@@ -155,7 +174,7 @@ let row_json r =
       ff "candidates_per_publish" r.cand;
       ff "confirmed_per_publish" r.conf;
       ff "refuted_per_publish" r.refut;
-      fi "trie_nodes" r.trie;
+      fi "buckets" r.buckets;
       ff "speedup" (speedup r.scan_us r.idx_us);
     ]
 
@@ -163,12 +182,12 @@ let row_cells r =
   [
     Util.si r.subs; Util.si r.fanout; Util.f2 r.reg_us; Util.f2 r.idx_us;
     Util.f2 r.scan_us; Util.f1 r.cand; Util.f1 r.conf;
-    Util.si r.trie; Util.f1 (speedup r.scan_us r.idx_us) ^ "x";
+    Util.si r.buckets; Util.f1 (speedup r.scan_us r.idx_us) ^ "x";
   ]
 
 let header =
   [ "subs"; "fanout"; "reg us"; "pub us (idx)"; "pub us (scan)"; "cand/pub";
-    "conf/pub"; "trie nodes"; "speedup" ]
+    "conf/pub"; "buckets"; "speedup" ]
 
 let run ~smoke () =
   let tiers = if smoke then [ 200; 1_000 ] else [ 1_000; 10_000; 100_000; 1_000_000 ] in
@@ -193,7 +212,7 @@ let run ~smoke () =
          fanout)
     ~header (List.map row_cells selective);
 
-  (* candidates must not scale with registrations: the trie hands back
+  (* candidates must not scale with registrations: the index hands back
      the hot bucket, whatever else is registered *)
   (match (selective, List.rev selective) with
   | first :: _, last :: _ when List.length selective > 1 ->

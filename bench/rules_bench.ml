@@ -18,7 +18,8 @@
    subset (wired into `dune runtest`); every case checks shared firings
    equal unshared firings, and the full composite sweep additionally
    asserts the >=20x probe reduction at 10^4 heavily-overlapping
-   rules. *)
+   rules.  A last case times [Engine.create] alone on rules whose
+   patterns differ only in a deep constant. *)
 
 open Xchange
 
@@ -208,6 +209,25 @@ let comp_case ~kind ~overlap ~rules:n ~events:m =
 let comp_ratio r =
   float_of_int r.c_joins_unshared /. float_of_int (max r.c_joins_shared 1)
 
+(* ---- construction: patterns that differ only in a deep constant ----
+
+   Atomic rules on [publish{topic{"t<i>"}}]: the default [Hashtbl.hash]
+   reads too few values to tell these patterns apart, so any table
+   keyed on them that hashes with it puts them all in one bucket and
+   construction goes quadratic. *)
+
+let construction_rules n =
+  List.init n (fun i ->
+      let topic = Qterm.el "topic" [ Qterm.pos (Qterm.txt (Printf.sprintf "t%d" i)) ] in
+      Eca.make ~name:(Printf.sprintf "r%d" i)
+        ~on:(Event_query.on ~label:"publish" (Qterm.el "publish" [ Qterm.pos topic ]))
+        Action.Nop)
+
+(* best of three: one construction is a single wall-clock sample *)
+let create_ms ruleset =
+  let once () = snd (Util.time_ms (fun () -> ignore (Engine.create_exn ruleset))) in
+  List.fold_left (fun best _ -> Float.min best (once ())) (once ()) [ (); () ]
+
 (* ---- JSON emission (hand-rolled; no deps) ---- *)
 
 let obj fields = "{" ^ String.concat ", " fields ^ "}"
@@ -287,6 +307,14 @@ let run ~smoke () =
            Util.f2 r.c_shared_ms; Util.f2 r.c_unshared_ms;
          ])
        comp_rows);
+  let c_rules = if smoke then 1_000 else 10_000 in
+  let c_ms =
+    Obs.Profile.phase "construction" (fun () ->
+        create_ms (Ruleset.make ~rules:(construction_rules c_rules) "bench"))
+  in
+  Util.print_table ~title:"Engine.create: patterns differing in a deep constant"
+    ~header:[ "rules"; "create ms" ]
+    [ [ Util.si c_rules; Util.f2 c_ms ] ];
   let json =
     obj
       [
@@ -323,6 +351,7 @@ let run ~smoke () =
                       ff "unshared_run_ms" r.c_unshared_ms;
                     ])
                 comp_rows));
+        Printf.sprintf "%S: %s" "construction" (obj [ fi "rules" c_rules; ff "create_ms" c_ms ]);
         Printf.sprintf "%S: %s" "metrics" (Json.to_string (Obs.Profile.to_json ()));
       ]
   in

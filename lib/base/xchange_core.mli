@@ -31,10 +31,9 @@ module Escape : sig
 
   val no_subindex : bool
   (** [XCHANGE_NO_SUBINDEX=1]: default [?index] of
-      {!Xchange_rules.Engine.create} and
-      {!Xchange_web.Pubsub.subscribers} to [false], the full scans;
-      {!Xchange_web.Pubsub.Registry.attach} then installs no
-      answerer. *)
+      {!Xchange_rules.Engine.create} to [false], the full scan;
+      {!Xchange_web.Pubsub.Registry.attach} then installs no answerer,
+      so the register is scanned as in a store without a registry. *)
 
   val no_share : bool
   (** [XCHANGE_NO_SHARE=1]: default [?share] of

@@ -103,6 +103,15 @@ let rec map_vars f = function
       in
       El { e with label; attrs; children }
 
+let key_hash k = Hashtbl.hash_param 256 256 k
+
+module Key = struct
+  type nonrec t = t
+
+  let equal = ( = )
+  let hash = key_hash
+end
+
 (* [matches_anywhere (Desc q)] and [matches_anywhere q] deliver the same
    answer set (the unions over all subterms coincide), so outer [Desc]
    wrappers can be peeled before looking for an anchor. *)

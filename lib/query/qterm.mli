@@ -110,6 +110,18 @@ val validate : t -> (unit, string) result
 (** Static sanity checks: regexes compile; [Without] patterns do not
     attempt to export variables that are not also bound positively. *)
 
+val key_hash : 'a -> int
+(** Structural hash of a whole table key built from query terms: a
+    query, an event query, a (sub-query, context) pair.  The default
+    [Hashtbl.hash] reads at most 10 meaningful values, which such keys
+    often share (labels, element names) before the constants that tell
+    them apart, so [publish\[topic\["t1"\]\]] and
+    [publish\[topic\["t2"\]\]] would land in one bucket.  Every
+    query-keyed table hashes with this. *)
+
+module Key : Hashtbl.HashedType with type t = t
+(** Queries as table keys: structural equality, {!key_hash}. *)
+
 val peel_desc : t -> t
 (** Strip outer [Desc] wrappers.  Matching anywhere in a document is
     invariant under outer [Desc] (the unions over all subterms

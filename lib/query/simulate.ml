@@ -12,16 +12,18 @@ open Xchange_obs
 (* Domain-local: compiled regexes are cheap to rebuild, racing domains
    are not.  Each domain grows its own cache; the metrics fold sums all
    of them. *)
-let regex_caches : (string, Re.re) Lru.t Xchange_core.Domain_local.t =
-  Xchange_core.Domain_local.create (fun () -> Lru.create ~cap:256)
+module Regex_lru = Lru.Make (String)
+
+let regex_caches : Re.re Regex_lru.t Xchange_core.Domain_local.t =
+  Xchange_core.Domain_local.create (fun () -> Regex_lru.create ~cap:256)
 
 let compiled_regex r =
   let regex_cache = Xchange_core.Domain_local.get regex_caches in
-  match Lru.find regex_cache r with
+  match Regex_lru.find regex_cache r with
   | Some re -> re
   | None ->
       let re = Re.compile (Re.whole_string (Re.Pcre.re r)) in
-      Lru.add regex_cache r re;
+      Regex_lru.add regex_cache r re;
       re
 
 let match_leaf_pat pat t =
@@ -189,18 +191,20 @@ and match_children ~unordered ~total patterns data subst =
 (* Domain-local like the regex cache: plans are pure values compiled
    from pure values, so per-domain duplication costs only memory and
    recompilation, never correctness. *)
-let plan_caches : (Qterm.t, Plan.t) Lru.t Xchange_core.Domain_local.t =
-  Xchange_core.Domain_local.create (fun () -> Lru.create ~cap:512)
+module Plan_lru = Lru.Make (Qterm.Key)
+
+let plan_caches : Plan.t Plan_lru.t Xchange_core.Domain_local.t =
+  Xchange_core.Domain_local.create (fun () -> Plan_lru.create ~cap:512)
 
 let plan_default = not Xchange_core.Escape.no_plan
 
 let plan_of q =
   let plan_cache = Xchange_core.Domain_local.get plan_caches in
-  match Lru.find plan_cache q with
+  match Plan_lru.find plan_cache q with
   | Some p -> p
   | None ->
       let p = Plan.compile q in
-      Lru.add plan_cache q p;
+      Plan_lru.add plan_cache q p;
       p
 
 (* Query-layer observability: the plan cache and the plan work counters
@@ -212,15 +216,17 @@ let metrics =
     Xchange_core.Domain_local.fold caches ~init:0 ~f:(fun acc c -> acc + stat c)
   in
   let m = Obs.Metrics.create () in
-  Obs.Metrics.counter_fn m "query.plan_cache_hits" (fun () -> sum plan_caches Lru.hits);
-  Obs.Metrics.counter_fn m "query.plan_cache_misses" (fun () -> sum plan_caches Lru.misses);
+  Obs.Metrics.counter_fn m "query.plan_cache_hits" (fun () -> sum plan_caches Plan_lru.hits);
+  Obs.Metrics.counter_fn m "query.plan_cache_misses" (fun () ->
+      sum plan_caches Plan_lru.misses);
   Obs.Metrics.counter_fn m "query.plan_cache_evictions" (fun () ->
-      sum plan_caches Lru.evictions);
+      sum plan_caches Plan_lru.evictions);
   Obs.Metrics.counter_fn m "query.plans_compiled" (fun () -> Plan.compiled_count ());
   Obs.Metrics.counter_fn m "query.fingerprint_pruned" (fun () -> Plan.fingerprint_pruned ());
   Obs.Metrics.counter_fn m "query.arity_pruned" (fun () -> Plan.arity_pruned ());
-  Obs.Metrics.counter_fn m "query.regex_cache_hits" (fun () -> sum regex_caches Lru.hits);
-  Obs.Metrics.counter_fn m "query.regex_cache_misses" (fun () -> sum regex_caches Lru.misses);
+  Obs.Metrics.counter_fn m "query.regex_cache_hits" (fun () -> sum regex_caches Regex_lru.hits);
+  Obs.Metrics.counter_fn m "query.regex_cache_misses" (fun () ->
+      sum regex_caches Regex_lru.misses);
   m
 
 let matches ?(plan = plan_default) ?(seed = Subst.empty) q t =

@@ -1,9 +1,8 @@
-(* Subscription index: a label-anchored discrimination trie over a
-   dynamic set of compiled query plans.  See sub_index.mli for the
-   layout; the invariant everything below maintains is that every live
-   registration sits in exactly one bucket, addressable from its shape
-   alone — so removal is O(1) bucket surgery and lookup never sees the
-   same entry twice. *)
+(* Subscription index: one hash table of buckets over a dynamic set of
+   registered queries.  See sub_index.mli for the layout; the invariant
+   everything below maintains is that every live registration sits in
+   exactly one bucket, addressable from its key alone — so removal is
+   O(1) and lookup never sees the same entry twice. *)
 
 open Xchange_data
 open Xchange_obs
@@ -27,13 +26,18 @@ open Xchange_obs
    - [Var], [Leaf_any], [Regex], attributes, [Opt] and [Without]
      children, label variables/wildcards: no requirement. *)
 
+(* What the term root must be, when the query (through [As] wrappers,
+   but not through [Desc], which relocates the match) pins it. *)
+type root = Any | Scalar | Label of string
+
 type shape = {
-  plan : Plan.t;
-  root : string option;  (* exact element label demanded at the term root *)
-  scalar_only : bool;  (* the term root must be a scalar leaf *)
+  query : Qterm.t;
+  plan : Plan.t Lazy.t;  (* compiled by the first [matching] that needs it *)
+  root : root;
   labels : (string * int) list;  (* required element-label multiset, sorted *)
   leaves : (string * int) list;  (* required leaf-text multiset, sorted *)
-  pivot : string option;  (* first required leaf text = trie discriminator *)
+  pivot : string option;  (* first required leaf text *)
+  mutable refs : int;  (* live registrations sharing this analysis *)
 }
 
 let bump tbl k =
@@ -60,51 +64,39 @@ let required q =
   in
   (dump labels, dump leaves)
 
-(* Root constraints hold only when the query (through [As] wrappers, but
-   not through [Desc], which relocates the match) pins the root. *)
-let rec root_info q =
+let rec root_of q =
   match q with
-  | Qterm.As (_, q) -> root_info q
-  | Qterm.El { label = Qterm.L l; _ } -> (Some l, false)
-  | Qterm.Leaf _ -> (None, true)
-  | Qterm.Var _ | Qterm.El _ | Qterm.Desc _ -> (None, false)
+  | Qterm.As (_, q) -> root_of q
+  | Qterm.El { label = Qterm.L l; _ } -> Label l
+  | Qterm.Leaf _ -> Scalar
+  | Qterm.Var _ | Qterm.El _ | Qterm.Desc _ -> Any
 
 let analyse q =
   let labels, leaves = required q in
-  let root, scalar_only = root_info q in
   {
-    plan = Plan.compile q;
-    root;
-    scalar_only;
+    query = q;
+    plan = lazy (Plan.compile q);
+    root = root_of q;
     labels;
     leaves;
     pivot = (match leaves with (s, _) :: _ -> Some s | [] -> None);
+    refs = 0;
   }
 
-(* ---- trie ------------------------------------------------------------ *)
+(* ---- buckets --------------------------------------------------------- *)
 
-type 'a entry = { id : int; payload : 'a; elabel : string option; shape : shape }
+(* (event label, root, pivot): [None] for an unlabelled registration or
+   one that requires no leaf text *)
+type key = string option * root * string option
 
-type 'a bucket = (int, 'a entry) Hashtbl.t
+type 'a entry = { id : int; payload : 'a; key : key; shape : shape }
 
-(* per root-label (or any-root / scalar-root) *)
-type 'a branch = {
-  by_pivot : (string, 'a bucket) Hashtbl.t;
-  unpivoted : 'a bucket;  (* entries demanding no leaf text *)
-}
-
-(* per event-label (or unlabelled) *)
-type 'a node = {
-  by_root : (string, 'a branch) Hashtbl.t;
-  any_root : 'a branch;  (* entries accepting any root element or leaf *)
-  scalar_root : 'a branch;  (* entries demanding a scalar root *)
-}
+module Shapes = Hashtbl.Make (Qterm.Key)
 
 type 'a t = {
-  by_elabel : (string, 'a node) Hashtbl.t;
-  any_elabel : 'a node;
+  buckets : (key, (int, 'a entry) Hashtbl.t) Hashtbl.t;
   entries : (int, 'a entry) Hashtbl.t;
-  shapes : (Qterm.t, shape) Hashtbl.t;  (* analysis deduped per query *)
+  shapes : shape Shapes.t;  (* one analysis per distinct live query *)
   mutable next_id : int;
   registry : Obs.Metrics.t;
   c_reg : Obs.Metrics.Counter.t;
@@ -115,19 +107,13 @@ type 'a t = {
   c_confirmed : Obs.Metrics.Counter.t;
 }
 
-let new_branch () = { by_pivot = Hashtbl.create 4; unpivoted = Hashtbl.create 4 }
-
-let new_node () =
-  { by_root = Hashtbl.create 8; any_root = new_branch (); scalar_root = new_branch () }
-
 let create ?metrics () =
   let registry = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
     {
-      by_elabel = Hashtbl.create 16;
-      any_elabel = new_node ();
+      buckets = Hashtbl.create 16;
       entries = Hashtbl.create 64;
-      shapes = Hashtbl.create 64;
+      shapes = Shapes.create 64;
       next_id = 0;
       registry;
       c_reg = Obs.Metrics.counter registry "subindex.registrations";
@@ -140,114 +126,53 @@ let create ?metrics () =
   in
   Obs.Metrics.gauge_fn registry "subindex.entries" (fun () ->
       float_of_int (Hashtbl.length t.entries));
+  Obs.Metrics.gauge_fn registry "subindex.shapes" (fun () ->
+      float_of_int (Shapes.length t.shapes));
   t
 
 let size t = Hashtbl.length t.entries
-
-let branch_nodes b = 1 + Hashtbl.length b.by_pivot + 1 (* buckets incl. unpivoted *)
-
-let node_nodes n =
-  1 + branch_nodes n.any_root + branch_nodes n.scalar_root
-  + Hashtbl.fold (fun _ b acc -> acc + branch_nodes b) n.by_root 0
-
-let trie_nodes t =
-  node_nodes t.any_elabel + Hashtbl.fold (fun _ n acc -> acc + node_nodes n) t.by_elabel 0
+let buckets t = Hashtbl.length t.buckets
 
 (* ---- registration / removal ------------------------------------------ *)
 
-let node_of t elabel ~create =
-  match elabel with
-  | None -> Some t.any_elabel
-  | Some l -> (
-      match Hashtbl.find_opt t.by_elabel l with
-      | Some n -> Some n
-      | None ->
-          if create then (
-            let n = new_node () in
-            Hashtbl.replace t.by_elabel l n;
-            Some n)
-          else None)
-
-let branch_of node shape ~create =
-  if shape.scalar_only then Some node.scalar_root
-  else
-    match shape.root with
-    | None -> Some node.any_root
-    | Some l -> (
-        match Hashtbl.find_opt node.by_root l with
-        | Some b -> Some b
-        | None ->
-            if create then (
-              let b = new_branch () in
-              Hashtbl.replace node.by_root l b;
-              Some b)
-            else None)
-
-let bucket_of branch shape ~create =
-  match shape.pivot with
-  | None -> Some branch.unpivoted
-  | Some s -> (
-      match Hashtbl.find_opt branch.by_pivot s with
-      | Some b -> Some b
-      | None ->
-          if create then (
-            let b = Hashtbl.create 4 in
-            Hashtbl.replace branch.by_pivot s b;
-            Some b)
-          else None)
-
 let register t ?label q payload =
   let shape =
-    match Hashtbl.find_opt t.shapes q with
+    match Shapes.find_opt t.shapes q with
     | Some s -> s
     | None ->
         let s = analyse q in
-        Hashtbl.replace t.shapes q s;
+        Shapes.replace t.shapes q s;
         s
   in
+  shape.refs <- shape.refs + 1;
   let id = t.next_id in
   t.next_id <- id + 1;
-  let entry = { id; payload; elabel = label; shape } in
-  let node = Option.get (node_of t label ~create:true) in
-  let branch = Option.get (branch_of node shape ~create:true) in
-  let bucket = Option.get (bucket_of branch shape ~create:true) in
+  let key = (label, shape.root, shape.pivot) in
+  let entry = { id; payload; key; shape } in
+  let bucket =
+    match Hashtbl.find_opt t.buckets key with
+    | Some b -> b
+    | None ->
+        let b = Hashtbl.create 4 in
+        Hashtbl.replace t.buckets key b;
+        b
+  in
   Hashtbl.replace bucket id entry;
   Hashtbl.replace t.entries id entry;
   Obs.Metrics.Counter.incr t.c_reg;
   id
-
-let branch_empty b = Hashtbl.length b.by_pivot = 0 && Hashtbl.length b.unpivoted = 0
-
-let node_empty n =
-  Hashtbl.length n.by_root = 0 && branch_empty n.any_root && branch_empty n.scalar_root
 
 let remove t id =
   match Hashtbl.find_opt t.entries id with
   | None -> false
   | Some entry ->
       Hashtbl.remove t.entries id;
-      (match node_of t entry.elabel ~create:false with
-      | None -> ()
-      | Some node -> (
-          match branch_of node entry.shape ~create:false with
-          | None -> ()
-          | Some branch ->
-              (match bucket_of branch entry.shape ~create:false with
-              | None -> ()
-              | Some bucket -> (
-                  Hashtbl.remove bucket id;
-                  (* shed empty structure so churn does not grow the trie *)
-                  match entry.shape.pivot with
-                  | Some s when Hashtbl.length bucket = 0 ->
-                      Hashtbl.remove branch.by_pivot s
-                  | _ -> ()));
-              (match entry.shape.root with
-              | Some l when (not entry.shape.scalar_only) && branch_empty branch ->
-                  Hashtbl.remove node.by_root l
-              | _ -> ());
-              (match entry.elabel with
-              | Some l when node_empty node -> Hashtbl.remove t.by_elabel l
-              | _ -> ())));
+      let bucket = Hashtbl.find t.buckets entry.key in
+      Hashtbl.remove bucket id;
+      if Hashtbl.length bucket = 0 then Hashtbl.remove t.buckets entry.key;
+      let shape = entry.shape in
+      shape.refs <- shape.refs - 1;
+      if shape.refs = 0 then Shapes.remove t.shapes shape.query;
       Obs.Metrics.Counter.incr t.c_rem;
       true
 
@@ -269,55 +194,42 @@ let term_counts term =
 
 let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k)
 
-let fp_ok shape ~root_label ~is_elem labels leaves =
-  (match shape.root with Some l -> is_elem && String.equal l root_label | None -> true)
-  && ((not shape.scalar_only) || not is_elem)
-  && List.for_all (fun (l, n) -> count labels l >= n) shape.labels
+(* The root is not checked here: the bucket key pins it. *)
+let fp_ok shape labels leaves =
+  List.for_all (fun (l, n) -> count labels l >= n) shape.labels
   && List.for_all (fun (s, n) -> count leaves s >= n) shape.leaves
 
-(* Every entry lives in exactly one bucket and the buckets visited below
-   are pairwise disjoint, so [fold] sees each candidate at most once. *)
+(* The keys a term can satisfy: its event label or none, its own root or
+   any, each of its distinct leaf texts or no pivot.  Distinct keys name
+   distinct buckets and every entry lives in exactly one bucket, so
+   [fold] sees each candidate at most once. *)
 let fold_candidates t ?label term f acc =
   Obs.Metrics.Counter.incr t.c_lookup;
   let labels, leaves = term_counts term in
-  let root_label, is_elem =
-    match term with Term.Elem e -> (e.label, true) | _ -> ("", false)
-  in
+  let elabels = match label with None -> [ None ] | Some _ -> [ None; label ] in
+  let roots = [ Any; (match term with Term.Elem e -> Label e.label | _ -> Scalar) ] in
+  let pivots = None :: Hashtbl.fold (fun s _ acc -> Some s :: acc) leaves [] in
   let refuted = ref 0 in
-  let scan_bucket acc bucket =
-    Hashtbl.fold
-      (fun _ entry acc ->
-        if fp_ok entry.shape ~root_label ~is_elem labels leaves then f acc entry
-        else (
-          incr refuted;
-          acc))
-      bucket acc
-  in
-  let scan_branch acc branch =
-    let acc = scan_bucket acc branch.unpivoted in
-    Hashtbl.fold
-      (fun s _ acc ->
-        match Hashtbl.find_opt branch.by_pivot s with
-        | Some bucket -> scan_bucket acc bucket
-        | None -> acc)
-      leaves acc
-  in
-  let scan_node acc node =
-    let acc = scan_branch acc node.any_root in
-    if is_elem then
-      match Hashtbl.find_opt node.by_root root_label with
-      | Some branch -> scan_branch acc branch
-      | None -> acc
-    else scan_branch acc node.scalar_root
-  in
-  let acc = scan_node acc t.any_elabel in
-  let acc =
-    match label with
+  let scan acc key =
+    match Hashtbl.find_opt t.buckets key with
     | None -> acc
-    | Some l -> (
-        match Hashtbl.find_opt t.by_elabel l with
-        | Some node -> scan_node acc node
-        | None -> acc)
+    | Some bucket ->
+        Hashtbl.fold
+          (fun _ entry acc ->
+            if fp_ok entry.shape labels leaves then f acc entry
+            else (
+              incr refuted;
+              acc))
+          bucket acc
+  in
+  let acc =
+    List.fold_left
+      (fun acc elabel ->
+        List.fold_left
+          (fun acc root ->
+            List.fold_left (fun acc pivot -> scan acc (elabel, root, pivot)) acc pivots)
+          acc roots)
+      acc elabels
   in
   Obs.Metrics.Counter.incr t.c_refuted ~by:!refuted;
   acc
@@ -337,7 +249,7 @@ let matching t ?label ?seed term =
     fold_candidates t ?label term
       (fun acc e ->
         incr cands;
-        match Plan.matches ?seed e.shape.plan term with
+        match Plan.matches ?seed (Lazy.force e.shape.plan) term with
         | [] -> acc
         | answers -> (e.id, e.payload, answers) :: acc)
       []
@@ -356,7 +268,7 @@ type stats = {
   refuted : int;
   confirmed : int;
   entries : int;
-  nodes : int;
+  buckets : int;
 }
 
 let stats t =
@@ -368,7 +280,7 @@ let stats t =
     refuted = Obs.Metrics.Counter.value t.c_refuted;
     confirmed = Obs.Metrics.Counter.value t.c_confirmed;
     entries = size t;
-    nodes = trie_nodes t;
+    buckets = buckets t;
   }
 
 let metrics t = t.registry

@@ -21,20 +21,19 @@ open Xchange_obs
    event derivation interleaves many fresh ids. *)
 let memo_cap = 64
 
+module Memo = Lru.Make (Int)
+
 type node = {
   atom : Event_query.atomic;
   payload_matches : Xchange_data.Term.t -> Subst.set;
-  memo : (int, Subst.set) Lru.t;  (* event id -> substitutions *)
+  memo : Subst.set Memo.t;  (* event id -> substitutions *)
 }
 
 module Atoms = Hashtbl.Make (struct
   type t = Event_query.atomic
 
   let equal = ( = )
-  (* the whole key: the default [Hashtbl.hash] stops after 10 values,
-     which atoms often share (label, element names) before the
-     constants that tell them apart *)
-  let hash = Hashtbl.hash_param 256 256
+  let hash = Qterm.key_hash
 end)
 
 type t = {
@@ -68,7 +67,7 @@ let node t atom =
         {
           atom;
           payload_matches = Simulate.matcher atom.Event_query.pattern;
-          memo = Lru.create ~cap:memo_cap;
+          memo = Memo.create ~cap:memo_cap;
         }
       in
       Atoms.add t.nodes atom n;
@@ -81,7 +80,7 @@ let subscribe t atom : Incremental.atom_matcher =
     if not (Incremental.envelope_ok node.atom e) then []
     else begin
       let substs =
-        match Lru.find node.memo e.Event.id with
+        match Memo.find node.memo e.Event.id with
         | Some r ->
             t.hits <- t.hits + 1;
             r
@@ -89,7 +88,7 @@ let subscribe t atom : Incremental.atom_matcher =
             t.evaluations <- t.evaluations + 1;
             Incremental.note_atomic_run ();
             let r = node.payload_matches e.Event.payload in
-            Lru.add node.memo e.Event.id r;
+            Memo.add node.memo e.Event.id r;
             r
       in
       t.fanout <- t.fanout + List.length substs;

@@ -39,10 +39,7 @@ module Keys = Hashtbl.Make (struct
   type t = Event_query.t * Clock.span option
 
   let equal = ( = )
-  (* the whole key: the default [Hashtbl.hash] stops after 10 values,
-     which atoms often share (label, element names) before the
-     constants that tell them apart *)
-  let hash = Hashtbl.hash_param 256 256
+  let hash = Xchange_query.Qterm.key_hash
 end)
 
 type t = {

@@ -378,8 +378,8 @@ let effective_domains ?domains () =
   if Escape.no_par then 1
   else max 1 (match domains with Some d -> d | None -> Option.value ~default:1 Escape.domains)
 
-let create ?latency ?drop ?faults ?record ?(fetch_policy = default_fetch_policy) ?domains
-    ?lookahead () =
+let create ?latency ?faults ?record ?(fetch_policy = default_fetch_policy) ?domains ?lookahead
+    () =
   let p_count = effective_domains ?domains () in
   let parts =
     Array.init p_count (fun id ->
@@ -388,7 +388,7 @@ let create ?latency ?drop ?faults ?record ?(fetch_policy = default_fetch_policy)
         {
           id;
           sched;
-          transport = Transport.create ~sched ?latency ?drop ?faults ?record ();
+          transport = Transport.create ~sched ?latency ?faults ?record ();
           nodes = Hashtbl.create 8;
           cells_by_host = Hashtbl.create 8;
           snapshots = Hashtbl.create 8;

@@ -56,7 +56,6 @@ exception Causality of string
 
 val create :
   ?latency:(from:string -> to_:string -> Clock.span) ->
-  ?drop:(Message.t -> bool) ->
   ?faults:Transport.faults ->
   ?record:bool ->
   ?fetch_policy:fetch_policy ->
@@ -64,8 +63,8 @@ val create :
   ?lookahead:Clock.span ->
   unit ->
   t
-(** [drop] injects message loss; [faults] is the full fault profile
-    (loss, duplication, jitter — see {!Transport.fault_profile});
+(** [faults] injects message loss, duplication and jitter (see
+    {!Transport.fault_profile});
     [record] keeps a full message trace (see {!trace}).
 
     [domains] (default: [XCHANGE_DOMAINS], else 1) is the number of

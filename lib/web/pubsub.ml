@@ -6,19 +6,14 @@ let subscribers_doc = "/subscribers"
 
 let empty_register () = Term.elem ~ord:Term.Unordered "subscribers" []
 
-let topic_host_pattern label =
+(* [label[topic[t], host[h]]]: the pattern of the subscription events
+   and of a register entry *)
+let pair_q label t h =
   Qterm.el label
-    [
-      Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.var "T") ]);
-      Qterm.pos (Qterm.el "host" [ Qterm.pos (Qterm.var "H") ]);
-    ]
+    [ Qterm.pos (Qterm.el "topic" [ Qterm.pos t ]); Qterm.pos (Qterm.el "host" [ Qterm.pos h ]) ]
 
-let sub_entry_q =
-  Qterm.el "sub"
-    [
-      Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.var "T") ]);
-      Qterm.pos (Qterm.el "host" [ Qterm.pos (Qterm.var "H") ]);
-    ]
+let topic_host_pattern label = pair_q label (Qterm.var "T") (Qterm.var "H")
+let sub_entry_q = topic_host_pattern "sub"
 
 let sub_entry_c =
   Construct.cel "sub"
@@ -53,15 +48,7 @@ let fanout_rule =
            Qterm.pos (Qterm.As ("B", Qterm.el "body" []));
          ])
   in
-  let subscriber_condition =
-    Condition.In
-      ( Condition.Local subscribers_doc,
-        Qterm.el "sub"
-          [
-            Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.var "T") ]);
-            Qterm.pos (Qterm.el "host" [ Qterm.pos (Qterm.var "H") ]);
-          ] )
-  in
+  let subscriber_condition = Condition.In (Condition.Local subscribers_doc, sub_entry_q) in
   Eca.make ~name:"fan-out" ~on:on_publish ~if_:subscriber_condition
     (Action.raise_event_to ~to_:(Builtin.ovar "H") ~label:"notify"
        (Construct.cel "notify"
@@ -79,13 +66,8 @@ let unsubscribe ~topic ~host =
 let publish ~topic body =
   Term.elem "publish" [ Term.elem "topic" [ Term.text topic ]; Term.elem "body" [ body ] ]
 
-(* the topic-grounded register query ([subscribers]'s oracle shape) *)
-let subscribers_q topic =
-  Qterm.el "sub"
-    [
-      Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.txt topic) ]);
-      Qterm.pos (Qterm.el "host" [ Qterm.pos (Qterm.var "H") ]);
-    ]
+(* the topic-grounded register query [subscribers] asks *)
+let subscribers_q topic = pair_q "sub" (Qterm.txt topic) (Qterm.var "H")
 
 let hosts_of_answers answers =
   List.filter_map (fun s -> Option.bind (Subst.find "H" s) Term.as_text) answers
@@ -98,16 +80,16 @@ module Registry = struct
      query its notification must answer —
      [publish{topic{"<topic>"}}] — so a publish payload looks up only
      the subscribers its topic can satisfy (the topic literal is the
-     trie's pivot leaf).  The payload carried by the registration is the
-     host. *)
+     bucket's pivot leaf).  The payload carried by the registration is
+     the host. *)
   type t = {
+    store : Store.t;
     index : string Sub_index.t;
     ids : (string * string, int) Hashtbl.t;  (* (topic, host) -> registration *)
     mutable dirty : bool;  (* register doc changed in an unrecognised way *)
     mutable exotic : bool;
         (* the register holds entries that are not plain root-level
            (topic, host) text pairs — fast paths off until that clears *)
-    mutable store : Store.t option;  (* Some once attached *)
   }
 
   let subscription_q topic =
@@ -116,21 +98,6 @@ module Registry = struct
   let publish_probe topic =
     Term.elem "publish" [ Term.elem "topic" [ Term.text topic ] ]
 
-  let create () =
-    {
-      index = Sub_index.create ();
-      ids = Hashtbl.create 64;
-      dirty = false;
-      exotic = false;
-      store = None;
-    }
-
-  let size reg = Hashtbl.length reg.ids
-  let stats reg = Sub_index.stats reg.index
-  let metrics reg = Sub_index.metrics reg.index
-  let exotic reg = reg.exotic
-  let synced reg = (not reg.dirty) && not reg.exotic
-
   let subscribe reg ~topic ~host =
     if not (Hashtbl.mem reg.ids (topic, host)) then
       Hashtbl.replace reg.ids (topic, host)
@@ -138,11 +105,10 @@ module Registry = struct
 
   let unsubscribe reg ~topic ~host =
     match Hashtbl.find_opt reg.ids (topic, host) with
-    | None -> false
+    | None -> ()
     | Some id ->
         Hashtbl.remove reg.ids (topic, host);
-        ignore (Sub_index.remove reg.index id);
-        true
+        ignore (Sub_index.remove reg.index id)
 
   let clear reg =
     Hashtbl.iter (fun _ id -> ignore (Sub_index.remove reg.index id)) reg.ids;
@@ -160,7 +126,7 @@ module Registry = struct
     clear reg;
     reg.dirty <- false;
     reg.exotic <- false;
-    match Option.bind reg.store (fun store -> Store.doc store subscribers_doc) with
+    match Store.doc reg.store subscribers_doc with
     | None -> ()
     | Some d ->
         let pairs = ref [] in
@@ -186,44 +152,23 @@ module Registry = struct
 
   let sync reg = if reg.dirty then resync reg
 
+  let size reg =
+    sync reg;
+    Hashtbl.length reg.ids
+
+  let exotic reg =
+    sync reg;
+    reg.exotic
+
+  let synced reg = (not reg.dirty) && not reg.exotic
+  let stats reg = Sub_index.stats reg.index
+  let metrics reg = Sub_index.metrics reg.index
+
   (* hosts whose registered subscription query confirms against the term *)
   let confirmed_hosts reg term =
     Sub_index.matching reg.index term
     |> List.map (fun (_, h, _) -> h)
     |> List.sort_uniq String.compare
-
-  let oracle_subscribers store ~topic =
-    match Store.doc store subscribers_doc with
-    | None -> []
-    | Some register -> hosts_of_answers (Simulate.matches_anywhere (subscribers_q topic) register)
-
-  (* oracle for arbitrary publish payloads: every text pair the register
-     answers, kept when its subscription query holds on the payload *)
-  let oracle_match_publish store payload =
-    match Store.doc store subscribers_doc with
-    | None -> []
-    | Some register ->
-        Simulate.matches_anywhere sub_entry_q register
-        |> List.filter_map (fun s ->
-               match
-                 ( Option.bind (Subst.find "T" s) Term.as_text,
-                   Option.bind (Subst.find "H" s) Term.as_text )
-               with
-               | Some t, Some h when Simulate.holds (subscription_q t) payload -> Some h
-               | _ -> None)
-        |> List.sort_uniq String.compare
-
-  let subscribers reg ~topic =
-    sync reg;
-    if reg.exotic then
-      match reg.store with Some store -> oracle_subscribers store ~topic | None -> []
-    else confirmed_hosts reg (publish_probe topic)
-
-  let match_publish reg payload =
-    sync reg;
-    if reg.exotic then
-      match reg.store with Some store -> oracle_match_publish store payload | None -> []
-    else confirmed_hosts reg payload
 
   (* ---- store integration ---- *)
 
@@ -234,24 +179,14 @@ module Registry = struct
     match q with
     | Qterm.El
         {
-          label = Qterm.L "sub";
           children =
             [
-              Qterm.Pos
-                (Qterm.El
-                   { label = Qterm.L "topic"; children = [ Qterm.Pos (Qterm.Leaf (Qterm.Text_is t)) ]; _ });
-              Qterm.Pos
-                (Qterm.El
-                   { label = Qterm.L "host"; children = [ Qterm.Pos (Qterm.Leaf (Qterm.Text_is h)) ]; _ });
+              Qterm.Pos (Qterm.El { children = [ Qterm.Pos (Qterm.Leaf (Qterm.Text_is t)) ]; _ });
+              Qterm.Pos (Qterm.El { children = [ Qterm.Pos (Qterm.Leaf (Qterm.Text_is h)) ]; _ });
             ];
           _;
         }
-      when q
-           = Qterm.el "sub"
-               [
-                 Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.Leaf (Qterm.Text_is t)) ]);
-                 Qterm.pos (Qterm.el "host" [ Qterm.pos (Qterm.Leaf (Qterm.Text_is h)) ]);
-               ] ->
+      when q = pair_q "sub" (Qterm.txt t) (Qterm.txt h) ->
         Some (t, h)
     | _ -> None
 
@@ -291,7 +226,7 @@ module Registry = struct
         | Store.Ch_update (Action.U_delete { doc; selector = []; pattern = Some q })
           when String.equal doc subscribers_doc -> (
             match grounded_pair q with
-            | Some (t, h) -> ignore (unsubscribe reg ~topic:t ~host:h)
+            | Some (t, h) -> unsubscribe reg ~topic:t ~host:h
             | None -> reg.dirty <- true)
         | Store.Ch_update u when String.equal (Action.update_doc u) subscribers_doc ->
             reg.dirty <- true
@@ -303,15 +238,18 @@ module Registry = struct
      the rules and [subscribers] use; anything else falls back *)
   let answer reg ~seed q =
     sync reg;
+    (* one answer binding H per host confirmed for topic [t] *)
+    let hosts_of_topic t =
+      Some
+        (Subst.dedup
+           (List.filter_map
+              (fun h -> Subst.add "H" (Term.text h) seed)
+              (confirmed_hosts reg (publish_probe t))))
+    in
     if reg.exotic then None
     else if q = sub_entry_q then
       match Subst.find "T" seed with
-      | Some (Term.Text t) ->
-          Some
-            (Subst.dedup
-               (List.filter_map
-                  (fun h -> Subst.add "H" (Term.text h) seed)
-                  (confirmed_hosts reg (publish_probe t))))
+      | Some (Term.Text t) -> hosts_of_topic t
       | Some _ ->
           (* a non-text topic binding cannot equal any mirrored entry *)
           Some Subst.set_empty
@@ -330,32 +268,24 @@ module Registry = struct
       match q with
       | Qterm.El
           {
-            label = Qterm.L "sub";
             children =
-              Qterm.Pos
-                (Qterm.El
-                   { label = Qterm.L "topic"; children = [ Qterm.Pos (Qterm.Leaf (Qterm.Text_is t)) ]; _ })
+              Qterm.Pos (Qterm.El { children = [ Qterm.Pos (Qterm.Leaf (Qterm.Text_is t)) ]; _ })
               :: _;
             _;
           }
         when q = subscribers_q t ->
-          Some
-            (Subst.dedup
-               (List.filter_map
-                  (fun h -> Subst.add "H" (Term.text h) seed)
-                  (confirmed_hosts reg (publish_probe t))))
+          hosts_of_topic t
       | _ -> None
 
   let attach store =
-    let reg = create () in
-    reg.store <- Some store;
-    reg.dirty <- true;
+    let reg =
+      { store; index = Sub_index.create (); ids = Hashtbl.create 64; dirty = true; exotic = false }
+    in
     Store.on_change store (observe reg);
     if not Xchange_core.Escape.no_subindex then
       Store.set_dynamic store subscribers_doc (answer reg);
     reg
 end
 
-let subscribers ?(index = not Xchange_core.Escape.no_subindex) store ~topic =
-  if not index then Registry.oracle_subscribers store ~topic
-  else hosts_of_answers (Store.query store ~doc:subscribers_doc (subscribers_q topic))
+let subscribers store ~topic =
+  hosts_of_answers (Store.query store ~doc:subscribers_doc (subscribers_q topic))

@@ -25,9 +25,10 @@
     handcrafted structure) triggers a full resync, and registers that
     are not plain pair lists disable the fast path entirely until they
     are clean again — answers are always exactly those of the document
-    query.  [XCHANGE_NO_SUBINDEX=1] keeps the rule-driven linear-scan
-    path as the differential oracle: attached registries then install
-    no answerer, and {!subscribers} defaults to [~index:false]. *)
+    query.  A store without an attached registry answers from the
+    document: that is the differential oracle, and
+    [XCHANGE_NO_SUBINDEX=1] selects it for attached stores too, since
+    {!Registry.attach} then installs no answerer. *)
 
 open Xchange_data
 open Xchange_rules
@@ -49,22 +50,13 @@ val subscribe : topic:string -> host:string -> Term.t
 val unsubscribe : topic:string -> host:string -> Term.t
 val publish : topic:string -> Term.t -> Term.t
 
-val subscribers : ?index:bool -> Store.t -> topic:string -> string list
-(** Hosts currently subscribed to a topic, sorted.  By default served
-    through {!Store.query} — index-pruned, memoized, and answered
-    directly by an attached {!Registry}; [~index:false] scans the
-    register document with the plain interpreter (the test oracle).
-    [index] defaults to true unless [XCHANGE_NO_SUBINDEX=1] is set; an
-    explicit [~index] wins. *)
+val subscribers : Store.t -> topic:string -> string list
+(** Hosts currently subscribed to a topic, sorted: the register query
+    through {!Store.query}, so an attached {!Registry} answers it. *)
 
-(** Topic-keyed subscription index over the register document. *)
+(** Topic-keyed subscription index over a store's register document. *)
 module Registry : sig
   type t
-
-  val create : unit -> t
-  (** A standalone registry (no store): populate with {!subscribe} /
-      {!unsubscribe} and query with {!match_publish} — the shape the
-      benchmarks drive. *)
 
   val attach : Store.t -> t
   (** Mirror the store's [/subscribers] document: subscribes to the
@@ -72,34 +64,20 @@ module Registry : sig
       installs the {!Store.set_dynamic} answerer so the fan-out rule's
       register query is served from the index.  The mirror is lazy: it
       (re)builds from the document on first use and after any
-      unrecognised mutation.  Do not combine with direct {!subscribe} /
-      {!unsubscribe} calls — attached registries are maintained by the
-      change feed alone. *)
-
-  val subscribe : t -> topic:string -> host:string -> unit
-  (** Standalone registries only.  Idempotent per (topic, host). *)
-
-  val unsubscribe : t -> topic:string -> host:string -> bool
-  (** Standalone registries only.  [false] when the pair was unknown. *)
-
-  val subscribers : t -> topic:string -> string list
-  (** Hosts subscribed to exactly this topic, sorted. *)
-
-  val match_publish : t -> Term.t -> string list
-  (** Hosts whose subscription query matches the publish payload —
-      candidate selection through the trie, confirmed by compiled-plan
-      execution.  Sorted. *)
+      unrecognised mutation. *)
 
   val size : t -> int
-  (** Live mirrored (topic, host) pairs. *)
+  (** Live mirrored (topic, host) pairs, after bringing the mirror up
+      to date. *)
 
   val synced : t -> bool
   (** The mirror currently reflects the register without pending resync
       and without degraded (exotic-register) fallback. *)
 
   val exotic : t -> bool
-  (** The register holds entries beyond root-level text pairs; fast
-      paths are off and queries fall back to the document. *)
+  (** The register holds entries beyond root-level text pairs, so fast
+      paths are off and queries fall back to the document.  Brings the
+      mirror up to date first. *)
 
   val stats : t -> Xchange_query.Sub_index.stats
   val metrics : t -> Obs.Metrics.t

@@ -17,6 +17,13 @@ type watch_state =
    answers.  Stale digests age out of the LRU by themselves. *)
 type query_key = int64 * Qterm.t * (string * int64) list
 
+module Qcache = Lru.Make (struct
+  type t = query_key
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
 type change = Ch_update of Action.update | Ch_doc of string | Ch_restore
 
 type answerer = seed:Subst.t -> Qterm.t -> Subst.set option
@@ -27,7 +34,7 @@ type t = {
   watches : (int, watch_state) Hashtbl.t;
   mutable next_watch : int;
   indexes : (string, Term_index.t) Hashtbl.t;  (** per current doc version *)
-  qcache : (query_key, Subst.set) Lru.t;
+  qcache : Subst.set Qcache.t;
   mutable observers : (change -> unit) list;
   dynamic : (string, answerer) Hashtbl.t;  (** per-doc derived-register answerers *)
   m : Obs.Metrics.t;
@@ -50,7 +57,7 @@ let create ?(cache_capacity = default_cache_capacity) () =
       watches = Hashtbl.create 8;
       next_watch = 0;
       indexes = Hashtbl.create 16;
-      qcache = Lru.create ~cap:cache_capacity;
+      qcache = Qcache.create ~cap:cache_capacity;
       observers = [];
       dynamic = Hashtbl.create 4;
       m;
@@ -62,11 +69,12 @@ let create ?(cache_capacity = default_cache_capacity) () =
   in
   (* the LRU already counts its own traffic; sample it at snapshot time
      instead of double-counting on the query hot path *)
-  Obs.Metrics.counter_fn m "store.query_cache_hits" (fun () -> Lru.hits t.qcache);
-  Obs.Metrics.counter_fn m "store.query_cache_misses" (fun () -> Lru.misses t.qcache);
-  Obs.Metrics.counter_fn m "store.query_cache_evictions" (fun () -> Lru.evictions t.qcache);
+  Obs.Metrics.counter_fn m "store.query_cache_hits" (fun () -> Qcache.hits t.qcache);
+  Obs.Metrics.counter_fn m "store.query_cache_misses" (fun () -> Qcache.misses t.qcache);
+  Obs.Metrics.counter_fn m "store.query_cache_evictions" (fun () ->
+      Qcache.evictions t.qcache);
   Obs.Metrics.gauge_fn m "store.query_cache_entries" (fun () ->
-      float_of_int (Lru.length t.qcache));
+      float_of_int (Qcache.length t.qcache));
   Obs.Metrics.gauge_fn m "store.live_indexes" (fun () ->
       float_of_int (Hashtbl.length t.indexes));
   t
@@ -265,11 +273,11 @@ let query_fallback t name d ~seed q =
   | None -> Simulate.matches_anywhere ~seed q d
   | Some idx -> (
       let key = (Term_index.digest idx, q, seed_fingerprint seed) in
-      match Lru.find t.qcache key with
+      match Qcache.find t.qcache key with
       | Some answers -> answers
       | None ->
           let answers = Simulate.matches_anywhere ~index:idx ~seed q d in
-          Lru.add t.qcache key answers;
+          Qcache.add t.qcache key answers;
           answers)
 
 let query t ~doc:name ?(seed = Subst.empty) q =

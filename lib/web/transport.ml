@@ -71,14 +71,13 @@ type t = {
 
 let default_latency ~from:_ ~to_:_ = Clock.ms 5
 
-let create ~sched ?(latency = default_latency) ?(drop = fun _ -> false) ?(faults = no_faults)
-    ?(record = false) () =
+let create ~sched ?(latency = default_latency) ?(faults = no_faults) ?(record = false) () =
   let m = Obs.Metrics.create () in
   let t =
     {
       sched;
       lat = latency;
-      faults = { faults with drop = (fun m -> faults.drop m || drop m) };
+      faults;
       deliver = (fun m -> invalid_arg (Fmt.str "Transport: no delivery callback for %a" Message.pp m));
       handoff = None;
       m;

@@ -73,17 +73,15 @@ type handoff = Message.t -> dup:int -> at:Clock.time -> release:(unit -> unit) -
 val create :
   sched:Sched.t ->
   ?latency:(from:string -> to_:string -> Clock.span) ->
-  ?drop:(Message.t -> bool) ->
   ?faults:faults ->
   ?record:bool ->
   unit ->
   t
-(** [latency] defaults to a constant 5 ms.  [drop] is a convenience
-    alias for a faults profile with only message loss (both are applied
-    if given: dropped messages are accounted in the statistics — they
-    were sent — but never delivered, the failure mode absence rules and
-    fetch retries compensate for).  With [record] (default false),
-    every message is kept for {!trace}. *)
+(** [latency] defaults to a constant 5 ms, [faults] to {!no_faults}.
+    Dropped messages are accounted in the statistics — they were sent —
+    but never delivered, the failure mode absence rules and fetch
+    retries compensate for.  With [record] (default false), every
+    message is kept for {!trace}. *)
 
 val on_deliver : t -> (Message.t -> unit) -> unit
 (** Install the delivery callback (the network layer's dispatcher).

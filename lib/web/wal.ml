@@ -597,23 +597,37 @@ let size_bytes t = Buffer.length t.buf
 let appended t = t.n_appended
 let records_since_snapshot t = t.n_since_snapshot
 
-let append_frame t payload =
+(* The one frame writer: [r] encoded as [len u32][crc u32][payload] at
+   the end of the log.  The record counts are kept apart ([count]), so a
+   log rewritten or cut to a list of records keeps them the same way. *)
+let write t r =
+  Buffer.clear t.scratch;
+  w_record t.scratch r;
+  let payload = Buffer.contents t.scratch in
   w_u32 t.buf (String.length payload);
   Buffer.add_int32_le t.buf (crc32 payload);
   Buffer.add_string t.buf payload
 
-let append t r =
-  Buffer.clear t.scratch;
-  w_record t.scratch r;
-  append_frame t (Buffer.contents t.scratch);
+let count t r =
   t.n_appended <- t.n_appended + 1;
-  Obs.Metrics.Counter.incr t.c_appends;
   match r with
-  | Snapshot _ ->
-      Obs.Metrics.Counter.incr t.c_snapshots;
-      t.n_since_snapshot <- 0
+  | Snapshot _ -> t.n_since_snapshot <- 0
   | Event _ | Remote_update _ | Advance _ | Update _ | Firing _ ->
       t.n_since_snapshot <- t.n_since_snapshot + 1
+
+(* the counts of a log holding exactly [rs] *)
+let recount t rs =
+  t.n_appended <- 0;
+  t.n_since_snapshot <- 0;
+  List.iter (count t) rs
+
+let append t r =
+  write t r;
+  count t r;
+  Obs.Metrics.Counter.incr t.c_appends;
+  match r with
+  | Snapshot _ -> Obs.Metrics.Counter.incr t.c_snapshots
+  | Event _ | Remote_update _ | Advance _ | Update _ | Firing _ -> ()
 
 type mark = { m_bytes : int; m_records : int; m_since : int }
 
@@ -629,38 +643,43 @@ let truncate t m =
 
 type stop = Clean | Corrupt of string
 
+(* The records of the longest valid prefix, why decoding stopped, and
+   the byte offset where that prefix ends. *)
 let decode_all s =
   let total = String.length s in
+  let stop acc pos why = (List.rev acc, Corrupt why, pos) in
   let rec go pos acc =
-    if pos = total then (List.rev acc, Clean)
+    if pos = total then (List.rev acc, Clean, pos)
     else if pos + frame_header_bytes > total then
-      (List.rev acc, Corrupt (Fmt.str "truncated tail: %d stray byte(s) after last record" (total - pos)))
+      stop acc pos (Fmt.str "truncated tail: %d stray byte(s) after last record" (total - pos))
     else
       let len = Int32.to_int (String.get_int32_le s pos) land 0xffffffff in
       let crc = String.get_int32_le s (pos + 4) in
       if len > max_frame_bytes then
-        (List.rev acc, Corrupt (Fmt.str "implausible frame length %d (corrupt header)" len))
+        stop acc pos (Fmt.str "implausible frame length %d (corrupt header)" len)
       else if pos + frame_header_bytes + len > total then
-        ( List.rev acc,
-          Corrupt
-            (Fmt.str "torn write: frame claims %d byte(s), only %d remain" len
-               (total - pos - frame_header_bytes)) )
+        stop acc pos
+          (Fmt.str "torn write: frame claims %d byte(s), only %d remain" len
+             (total - pos - frame_header_bytes))
       else
         let payload = String.sub s (pos + frame_header_bytes) len in
-        if crc32 payload <> crc then
-          (List.rev acc, Corrupt "checksum mismatch (bit flip or torn rewrite)")
+        if crc32 payload <> crc then stop acc pos "checksum mismatch (bit flip or torn rewrite)"
         else
           match (try Ok (r_record { s = payload; pos = 0 }) with
                 | Decode e -> Error e
                 | Invalid_argument e -> Error e) with
-          | Error e -> (List.rev acc, Corrupt (Fmt.str "undecodable record: %s" e))
+          | Error e -> stop acc pos (Fmt.str "undecodable record: %s" e)
           | Ok r -> go (pos + frame_header_bytes + len) (r :: acc)
   in
   go 0 []
 
-let records t =
-  let rs, stop = decode_all (Buffer.contents t.buf) in
+let decode t =
+  let (_, stop, _) as decoded = decode_all (Buffer.contents t.buf) in
   (match stop with Clean -> () | Corrupt _ -> Obs.Metrics.Counter.incr t.c_corrupt);
+  decoded
+
+let records t =
+  let rs, stop, _ = decode t in
   (rs, stop)
 
 let contents t = Buffer.contents t.buf
@@ -668,12 +687,8 @@ let contents t = Buffer.contents t.buf
 let of_string s =
   let t = create () in
   Buffer.add_string t.buf s;
-  let rs, _stop = decode_all s in
-  t.n_appended <- List.length rs;
-  let since =
-    List.fold_left (fun n r -> match r with Snapshot _ -> 0 | _ -> n + 1) 0 rs
-  in
-  t.n_since_snapshot <- since;
+  let rs, _, _ = decode_all s in
+  recount t rs;
   t
 
 let to_file t path =
@@ -695,21 +710,11 @@ let of_file path =
   | Ok s -> Ok (of_string s)
 
 let drop_corrupt_tail t =
-  match records t with
-  | _, Clean -> ()
-  | rs, Corrupt _ ->
-      Buffer.clear t.buf;
-      t.n_appended <- 0;
-      t.n_since_snapshot <- 0;
-      List.iter
-        (fun r ->
-          Buffer.clear t.scratch;
-          w_record t.scratch r;
-          append_frame t (Buffer.contents t.scratch);
-          t.n_appended <- t.n_appended + 1;
-          t.n_since_snapshot <-
-            (match r with Snapshot _ -> 0 | _ -> t.n_since_snapshot + 1))
-        rs
+  match decode t with
+  | _, Clean, _ -> ()
+  | rs, Corrupt _, valid_end ->
+      Buffer.truncate t.buf valid_end;
+      recount t rs
 
 let compact t ~keep =
   match records t with
@@ -729,18 +734,10 @@ let compact t ~keep =
             List.filteri (fun i _ -> i < cut) rs |> List.filter keep
           in
           let tail = List.filteri (fun i _ -> i >= cut) rs in
+          let kept = kept_before @ tail in
           Buffer.clear t.buf;
-          t.n_appended <- 0;
-          t.n_since_snapshot <- 0;
-          List.iter
-            (fun r ->
-              Buffer.clear t.scratch;
-              w_record t.scratch r;
-              append_frame t (Buffer.contents t.scratch);
-              t.n_appended <- t.n_appended + 1;
-              t.n_since_snapshot <-
-                (match r with Snapshot _ -> 0 | _ -> t.n_since_snapshot + 1))
-            (kept_before @ tail);
+          List.iter (write t) kept;
+          recount t kept;
           Obs.Metrics.Counter.incr t.c_compactions)
 
 let replay_store t store =

@@ -473,7 +473,7 @@ let test_absence_compensates_message_loss () =
       | Message.Event e -> String.equal e.Event.label "charged"
       | Message.Get _ | Message.Response _ | Message.Update _ -> false
     in
-    let net = Network.create ~drop () in
+    let net = Network.create ~faults:{ Transport.no_faults with drop } () in
     let shop = node_exn ~host:"shop.example" shop_rules in
     let bank = node_exn ~host:"bank.example" bank_rules in
     Network.add_node_exn net shop;

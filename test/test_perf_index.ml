@@ -399,22 +399,23 @@ let prop_cache_coherent =
 (* ---- units: LRU mechanics and observability counters ---- *)
 
 let test_lru () =
-  let l = Lru.create ~cap:2 in
-  Lru.add l "a" 1;
-  Lru.add l "b" 2;
-  Alcotest.(check (option int)) "a hit" (Some 1) (Lru.find l "a");
-  Lru.add l "c" 3;
+  let module L = Lru.Make (String) in
+  let l = L.create ~cap:2 in
+  L.add l "a" 1;
+  L.add l "b" 2;
+  Alcotest.(check (option int)) "a hit" (Some 1) (L.find l "a");
+  L.add l "c" 3;
   (* "b" was least recently used *)
-  Alcotest.(check (option int)) "b evicted" None (Lru.find l "b");
-  Alcotest.(check (option int)) "a kept" (Some 1) (Lru.find l "a");
-  Alcotest.(check (option int)) "c kept" (Some 3) (Lru.find l "c");
-  Alcotest.(check int) "bounded" 2 (Lru.length l);
-  Alcotest.(check int) "capacity" 2 (Lru.capacity l);
-  Alcotest.(check int) "evictions" 1 (Lru.evictions l);
-  Alcotest.(check int) "hits" 3 (Lru.hits l);
-  Alcotest.(check int) "misses" 1 (Lru.misses l);
-  Lru.clear l;
-  Alcotest.(check int) "cleared" 0 (Lru.length l)
+  Alcotest.(check (option int)) "b evicted" None (L.find l "b");
+  Alcotest.(check (option int)) "a kept" (Some 1) (L.find l "a");
+  Alcotest.(check (option int)) "c kept" (Some 3) (L.find l "c");
+  Alcotest.(check int) "bounded" 2 (L.length l);
+  Alcotest.(check int) "capacity" 2 (L.capacity l);
+  Alcotest.(check int) "evictions" 1 (L.evictions l);
+  Alcotest.(check int) "hits" 3 (L.hits l);
+  Alcotest.(check int) "misses" 1 (L.misses l);
+  L.clear l;
+  Alcotest.(check int) "cleared" 0 (L.length l)
 
 (* A registry's cells at this instant: name -> value, 0 when absent. *)
 let cells m =

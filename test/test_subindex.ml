@@ -1,5 +1,5 @@
 (* The subscription index must be a pure acceleration (HACKING.md
-   "Subscription index"): candidate selection through the trie plus
+   "Subscription index"): candidate selection through the buckets plus
    plan confirmation has to produce exactly the answers of a linear
    scan over every registration — under churn, under labels, and when
    wired into [Pubsub.Registry].  [Engine] dispatch through the index
@@ -72,8 +72,7 @@ let churn_prop (entries, probes) =
          (List.length live)
   in
   (* full set, then remove every other entry, then register them again
-     (fresh ids): lookups must track the live set exactly, and removal
-     must actually shed trie structure *)
+     (fresh ids): lookups must track the live set exactly *)
   check registered
   &&
   let removed, kept =
@@ -203,10 +202,14 @@ let steps_arb =
     ~print:(fun steps -> String.concat "; " (List.map step_print steps))
     QCheck.Gen.(list_size (int_range 1 25) step_gen)
 
-let run_pubsub ~attach steps =
+let register_store () =
   let store = Store.create () in
   Store.add_doc store Pubsub.subscribers_doc (Pubsub.empty_register ());
-  let reg = if attach then Some (Pubsub.Registry.attach store) else None in
+  store
+
+let run_pubsub ~attach steps =
+  let store = register_store () in
+  if attach then ignore (Pubsub.Registry.attach store);
   let sends = ref [] in
   let ops =
     {
@@ -227,14 +230,14 @@ let run_pubsub ~attach steps =
       | Ev mk -> ignore (Engine.handle_event engine ~env ~ops (mk (i + 1)))
       | Mut u -> ignore (Store.apply store u))
     steps;
-  (List.rev !sends, store, reg)
+  (List.rev !sends, store)
 
 let send_equal (r1, l1, p1) (r2, l2, p2) =
   String.equal r1 r2 && String.equal l1 l2 && Term.equal p1 p2
 
 let pubsub_prop steps =
-  let sends_a, store_a, reg = run_pubsub ~attach:true steps in
-  let sends_p, store_p, _ = run_pubsub ~attach:false steps in
+  let sends_a, store_a = run_pubsub ~attach:true steps in
+  let sends_p, store_p = run_pubsub ~attach:false steps in
   let doc s = Option.get (Store.doc s Pubsub.subscribers_doc) in
   (* identical notifications in identical order (the ECA engine fires
      once per answer, in answer order), identical final registers *)
@@ -245,14 +248,9 @@ let pubsub_prop steps =
      || QCheck.Test.fail_reportf "register divergence after %d steps" (List.length steps))
   && List.for_all
        (fun t ->
-         let indexed = Pubsub.subscribers store_a ~topic:t in
-         let oracle = Pubsub.subscribers ~index:false store_a ~topic:t in
-         let direct =
-           match reg with
-           | Some r -> Pubsub.Registry.match_publish r (Pubsub.publish ~topic:t (Term.text "b"))
-           | None -> oracle
-         in
-         (List.equal String.equal indexed oracle && List.equal String.equal direct oracle)
+         List.equal String.equal
+           (Pubsub.subscribers store_a ~topic:t)
+           (Pubsub.subscribers store_p ~topic:t)
          || QCheck.Test.fail_reportf "subscriber divergence on topic %s" t)
        topics
 
@@ -321,74 +319,140 @@ let test_fingerprint_refutation () =
   Alcotest.(check int) "y entry never visited" 0 s2.Sub_index.refuted;
   Alcotest.(check int) "exactly the x candidate" 1 s2.Sub_index.candidates
 
-(* removal prunes the trie back to its empty shape — no tombstones *)
-let test_remove_sheds_trie () =
+(* removal drops the bucket it empties — no tombstones *)
+let test_remove_sheds_buckets () =
   let idx = Sub_index.create () in
-  let empty_nodes = Sub_index.trie_nodes idx in
+  let empty_buckets = Sub_index.buckets idx in
   let q = Qterm.el "rec" [ Qterm.pos (Qterm.el "k" [ Qterm.pos (Qterm.txt "x") ]) ] in
   let id = Sub_index.register idx q "payload" in
-  Alcotest.(check bool) "trie grew" true (Sub_index.trie_nodes idx > empty_nodes);
+  Alcotest.(check bool) "bucket added" true (Sub_index.buckets idx > empty_buckets);
   Alcotest.(check int) "one entry" 1 (Sub_index.size idx);
   Alcotest.(check bool) "remove" true (Sub_index.remove idx id);
   Alcotest.(check int) "empty" 0 (Sub_index.size idx);
-  Alcotest.(check int) "trie shed" empty_nodes (Sub_index.trie_nodes idx);
+  Alcotest.(check int) "bucket shed" empty_buckets (Sub_index.buckets idx);
   Alcotest.(check (list int)) "no candidates" []
     (List.map fst (Sub_index.lookup idx (Term.elem "rec" [ Term.elem "k" [ Term.text "x" ] ])));
   Alcotest.(check bool) "idempotent remove" false (Sub_index.remove idx id)
 
+let cells m =
+  let samples = Obs.Metrics.snapshot m in
+  fun name -> int_of_float (Obs.Metrics.total samples name)
+
+(* A query's analysis lives as long as its registrations: a publisher
+   whose topics churn must not accumulate them. *)
+let test_shapes_bounded () =
+  let idx = Sub_index.create () in
+  let shapes () = cells (Sub_index.metrics idx) "subindex.shapes" in
+  let topic i = Printf.sprintf "t%d" i in
+  let q i = Qterm.el "publish" [ Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.txt (topic i)) ]) ] in
+  let ids = List.init 200 (fun i -> Sub_index.register idx (q i) i) in
+  let twin = Sub_index.register idx (q 7) 7 in
+  Alcotest.(check int) "one shape per distinct query" 200 (shapes ());
+  Alcotest.(check (list int)) "matching compiles and confirms" [ 7; 7 ]
+    (List.map (fun (_, p, _) -> p)
+       (Sub_index.matching idx (Pubsub.publish ~topic:(topic 7) (Term.text "b"))));
+  List.iter (fun id -> assert (Sub_index.remove idx id)) ids;
+  Alcotest.(check int) "a shared shape outlives one removal" 1 (shapes ());
+  assert (Sub_index.remove idx twin);
+  Alcotest.(check int) "every shape dropped" 0 (shapes ())
+
+(* An engine only calls [lookup], so its sub-index compiles no plans:
+   the only plans are the shared alpha network's, one per distinct
+   canonical atom.  The rules are shaped like the e2e [rules_dense]
+   workload: And or Seq of two atoms over 16 shared subtrees, each rule
+   with its own variable names. *)
+let test_engine_compiles_no_plans () =
+  let rules =
+    List.init 200 (fun i ->
+        let s = i mod 16 in
+        let atom l v = Event_query.on ~label:l (Qterm.el "rec" [ Qterm.pos (Qterm.var v) ]) in
+        let parts =
+          [
+            atom (Printf.sprintf "a%d" (s mod 8)) (Printf.sprintf "L%d" i);
+            atom (Printf.sprintf "b%d" (s mod 8)) (Printf.sprintf "R%d" i);
+          ]
+        in
+        let q = if s < 8 then Event_query.conj parts else Event_query.seq parts in
+        Eca.make ~name:(Printf.sprintf "r%d" i) ~on:(Event_query.within q 8) Action.Nop)
+  in
+  let compiled () = cells Simulate.metrics "query.plans_compiled" in
+  let before = compiled () in
+  let engine =
+    Engine.create_exn ~horizon:50 ~index:true ~share:true (Ruleset.make ~rules "dense")
+  in
+  let canonical_atoms = cells (Engine.metrics engine) "alpha.nodes" in
+  Alcotest.(check int) "16 canonical atoms" 16 canonical_atoms;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d plans compiled for %d canonical atoms" (compiled () - before)
+       canonical_atoms)
+    true
+    (compiled () - before <= canonical_atoms)
+
+let pair_delete t h =
+  Action.U_delete
+    {
+      doc = Pubsub.subscribers_doc;
+      selector = [];
+      pattern =
+        Some
+          (Qterm.el "sub"
+             [
+               Qterm.pos (Qterm.el "topic" [ Qterm.pos (Qterm.txt t) ]);
+               Qterm.pos (Qterm.el "host" [ Qterm.pos (Qterm.txt h) ]);
+             ]);
+    }
+
+(* the mirror follows the register's change feed: a duplicate entry
+   keeps one pair, a grounded delete removes it *)
 let test_registry_unsubscribe () =
-  let reg = Pubsub.Registry.create () in
-  Pubsub.Registry.subscribe reg ~topic:"sport" ~host:"h1";
-  Pubsub.Registry.subscribe reg ~topic:"sport" ~host:"h1";
-  (* idempotent *)
-  Pubsub.Registry.subscribe reg ~topic:"news" ~host:"h2";
-  Alcotest.check hosts_t "sport" [ "h1" ] (Pubsub.Registry.subscribers reg ~topic:"sport");
-  Alcotest.check hosts_t "publish matches" [ "h1" ]
-    (Pubsub.Registry.match_publish reg (Pubsub.publish ~topic:"sport" (Term.text "b")));
+  let store = register_store () in
+  let reg = Pubsub.Registry.attach store in
+  let apply u = ignore (Store.apply store u) in
+  Alcotest.(check int) "empty mirror" 0 (Pubsub.Registry.size reg);
+  apply (root_insert (pair_entry "sport" "h1"));
+  apply (root_insert (pair_entry "sport" "h1"));
+  apply (root_insert (pair_entry "news" "h2"));
+  Alcotest.check hosts_t "sport" [ "h1" ] (Pubsub.subscribers store ~topic:"sport");
   Alcotest.(check int) "two pairs" 2 (Pubsub.Registry.size reg);
-  Alcotest.(check bool) "unsubscribe" true
-    (Pubsub.Registry.unsubscribe reg ~topic:"sport" ~host:"h1");
-  Alcotest.check hosts_t "gone from trie" []
-    (Pubsub.Registry.match_publish reg (Pubsub.publish ~topic:"sport" (Term.text "b")));
+  apply (pair_delete "sport" "h1");
+  Alcotest.check hosts_t "unsubscribed" [] (Pubsub.subscribers store ~topic:"sport");
   Alcotest.(check int) "one pair left" 1 (Pubsub.Registry.size reg);
-  Alcotest.(check bool) "unknown pair" false
-    (Pubsub.Registry.unsubscribe reg ~topic:"sport" ~host:"h1");
+  apply (pair_delete "sport" "h1");
+  Alcotest.(check int) "unknown pair" 1 (Pubsub.Registry.size reg);
   let s = Pubsub.Registry.stats reg in
   Alcotest.(check int) "registrations counted" 2 s.Sub_index.registrations;
   Alcotest.(check int) "removal counted" 1 s.Sub_index.removals
 
 (* an attached registry degrades on exotic registers and recovers when
-   the document is clean again — answers never change *)
+   the document is clean again — answers never change; the oracle is an
+   unattached store given the same changes *)
 let test_attach_exotic_recovery () =
-  let store = Store.create () in
-  Store.add_doc store Pubsub.subscribers_doc (Pubsub.empty_register ());
+  let store = register_store () and plain = register_store () in
   let reg = Pubsub.Registry.attach store in
-  ignore (Store.apply store (root_insert (pair_entry "sport" "h1")));
+  let apply u = List.iter (fun s -> ignore (Store.apply s u)) [ store; plain ] in
+  let agree name topic =
+    Alcotest.check hosts_t name
+      (Pubsub.subscribers plain ~topic)
+      (Pubsub.subscribers store ~topic)
+  in
+  apply (root_insert (pair_entry "sport" "h1"));
   Alcotest.check hosts_t "mirrored insert" [ "h1" ] (Pubsub.subscribers store ~topic:"sport");
-  (* query the mirror itself: triggers the lazy (re)sync in either
-     dispatch mode, including XCHANGE_NO_SUBINDEX=1 *)
-  Alcotest.check hosts_t "mirror serves it" [ "h1" ]
-    (Pubsub.Registry.subscribers reg ~topic:"sport");
+  Alcotest.(check int) "mirror holds it" 1 (Pubsub.Registry.size reg);
   Alcotest.(check bool) "synced" true (Pubsub.Registry.synced reg);
-  ignore
-    (Store.apply store
-       (root_insert
-          (Term.elem "sub"
-             [
-               Term.elem "topic" [ Term.elem "nested" [] ];
-               Term.elem "host" [ Term.text "h9" ];
-             ])));
-  let oracle = Pubsub.subscribers ~index:false store ~topic:"sport" in
-  Alcotest.check hosts_t "degraded but equal" oracle (Pubsub.subscribers store ~topic:"sport");
-  Alcotest.check hosts_t "mirror falls back" oracle
-    (Pubsub.Registry.subscribers reg ~topic:"sport");
+  apply
+    (root_insert
+       (Term.elem "sub"
+          [ Term.elem "topic" [ Term.elem "nested" [] ]; Term.elem "host" [ Term.text "h9" ] ]));
+  agree "degraded but equal" "sport";
   Alcotest.(check bool) "exotic" true (Pubsub.Registry.exotic reg);
   (* replacing the document with a clean register recovers the mirror *)
-  Store.add_doc store Pubsub.subscribers_doc
-    (Term.elem ~ord:Term.Unordered "subscribers" [ pair_entry "news" "h2" ]);
+  List.iter
+    (fun s ->
+      Store.add_doc s Pubsub.subscribers_doc
+        (Term.elem ~ord:Term.Unordered "subscribers" [ pair_entry "news" "h2" ]))
+    [ store; plain ];
   Alcotest.check hosts_t "recovered" [ "h2" ] (Pubsub.subscribers store ~topic:"news");
-  Alcotest.check hosts_t "mirror recovered" [ "h2" ]
-    (Pubsub.Registry.subscribers reg ~topic:"news");
+  agree "recovered and equal" "news";
   Alcotest.(check bool) "clean again" false (Pubsub.Registry.exotic reg);
   Alcotest.(check int) "one mirrored pair" 1 (Pubsub.Registry.size reg)
 
@@ -400,7 +464,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_pubsub;
       Alcotest.test_case "wildcard-bucket routing" `Quick test_wildcard_routing;
       Alcotest.test_case "fingerprint refutation counters" `Quick test_fingerprint_refutation;
-      Alcotest.test_case "remove sheds trie structure" `Quick test_remove_sheds_trie;
+      Alcotest.test_case "remove sheds empty buckets" `Quick test_remove_sheds_buckets;
+      Alcotest.test_case "shapes bounded by live queries" `Quick test_shapes_bounded;
+      Alcotest.test_case "engine sub-index compiles no plans" `Quick
+        test_engine_compiles_no_plans;
       Alcotest.test_case "registry unsubscribe" `Quick test_registry_unsubscribe;
       Alcotest.test_case "attached registry: exotic and recovery" `Quick
         test_attach_exotic_recovery;
