@@ -1,9 +1,10 @@
 (* Hot-path indexing benchmarks (the perf companion of HACKING.md
    "Performance architecture"): sub-index dispatch vs full rule scan,
-   term-index-pruned matching vs full traversal, and memoized store
-   queries vs fresh evaluation.  Prints tables and emits machine-readable
-   BENCH_index.json.  [~smoke] runs a fast subset (wired into
-   `dune runtest`) that additionally checks indexed = naive answers. *)
+   keyed lookups through the store while the catalog changes under them,
+   and memoized store queries vs fresh evaluation.  Prints tables and
+   emits machine-readable BENCH_index.json.  [~smoke] runs a fast subset
+   (wired into `dune runtest`) that additionally checks every answer
+   against its reference. *)
 
 open Xchange
 
@@ -53,7 +54,61 @@ let dispatch_case ~rules:n ~events:m =
       (Printf.sprintf "dispatch bench: %d indexed firings vs %d naive" fired_indexed fired_naive);
   (n, m, fired_naive, naive_ms, indexed_ms)
 
-(* ---- document matching: rare-label query over large documents ---- *)
+(* ---- keyed lookups on a changing catalog ----
+
+   The store_churn shape: seeded [item[key[K], val[V]]] lookups through
+   [Store.query] on an unordered catalog, with one delete + insert of an
+   item per five lookups, so every fifth lookup meets a new document
+   version.  Keys are skewed towards the low ones; every answer is
+   checked against a model of the catalog. *)
+
+let key k = Printf.sprintf "k%d" k
+let kv label value = Term.elem label [ value ]
+let item k v = Term.elem "item" [ kv "key" (Term.text (key k)); kv "val" (Term.int v) ]
+
+let keyed_lookup_case ~items ~queries =
+  let st = Random.State.make [| 7 |] in
+  let vals = Array.init items (fun _ -> Random.State.int st 1000) in
+  let store = Store.create () in
+  Store.add_doc store "/catalog"
+    (Term.elem ~ord:Term.Unordered "catalog" (List.init items (fun k -> item k vals.(k))));
+  let pos label v = Qterm.pos (Qterm.el label [ Qterm.pos v ]) in
+  let lookup = Qterm.el "item" [ pos "key" (Qterm.var "K"); pos "val" (Qterm.var "V") ] in
+  let skewed () = Random.State.int st (1 + Random.State.int st items) in
+  let change k =
+    let v = Random.State.int st 1000 in
+    let apply u =
+      match Store.apply store u with
+      | Ok _ -> ()
+      | Error e -> failwith ("keyed-lookup bench: " ^ e)
+    in
+    apply
+      (Action.U_delete
+         {
+           doc = "/catalog";
+           selector = [];
+           pattern = Some (Qterm.el "item" [ pos "key" (Qterm.txt (key k)) ]);
+         });
+    apply (Action.U_insert { doc = "/catalog"; selector = []; at = None; content = item k v });
+    vals.(k) <- v
+  in
+  let (), ms =
+    Util.time_ms (fun () ->
+        for i = 1 to queries do
+          let k = skewed () in
+          let seed = Option.get (Subst.of_list [ ("K", Term.text (key k)) ]) in
+          let want = Option.get (Subst.of_list [ ("K", Term.text (key k)); ("V", Term.int vals.(k)) ]) in
+          (match Store.query store ~doc:"/catalog" ~seed lookup with
+          | [ got ] when Subst.equal got want -> ()
+          | got ->
+              failwith
+                (Fmt.str "keyed-lookup bench: k%d answered %a" k Subst.pp_set got));
+          if i mod 5 = 0 then change (skewed ())
+        done)
+  in
+  (Term.size (Option.get (Store.doc store "/catalog")), queries, ms)
+
+(* ---- store query cache: repeated queries over an unchanged doc ---- *)
 
 let needle_query = Qterm.el "needle" [ Qterm.pos (Qterm.var "X") ]
 
@@ -63,31 +118,6 @@ let doc_of_nodes nodes =
     (List.init items (fun i ->
          if i mod 500 = 250 then Term.elem "needle" [ Term.text (Printf.sprintf "n%d" i) ]
          else Term.elem "item" [ Term.elem "name" [ Term.text (Printf.sprintf "p%d" (i mod 97)) ] ]))
-
-let doc_match_case ~nodes ~queries =
-  let doc = doc_of_nodes nodes in
-  let naive_answers, naive_ms =
-    Util.time_ms (fun () ->
-        let last = ref [] in
-        for _ = 1 to queries do
-          last := Simulate.matches_anywhere needle_query doc
-        done;
-        !last)
-  in
-  let index, build_ms = Util.time_ms (fun () -> Term_index.build doc) in
-  let indexed_answers, indexed_ms =
-    Util.time_ms (fun () ->
-        let last = ref [] in
-        for _ = 1 to queries do
-          last := Simulate.matches_anywhere ~index needle_query doc
-        done;
-        !last)
-  in
-  if not (List.equal Subst.equal naive_answers indexed_answers) then
-    failwith "doc-match bench: indexed answers differ from naive";
-  (Term_index.nodes index, queries, List.length naive_answers, naive_ms, build_ms, indexed_ms)
-
-(* ---- store query cache: repeated queries over an unchanged doc ---- *)
 
 let cache_case ~nodes ~repeats =
   let store = Store.create () in
@@ -127,12 +157,9 @@ let fi k v = Printf.sprintf "%S: %d" k v
 let ff k v = Printf.sprintf "%S: %.3f" k v
 
 let run ~smoke () =
-  let dispatch_sizes, doc_sizes, cache_spec =
-    if smoke then ([ (10, 200); (100, 200) ], [ (1_000, 5) ], (1_000, 50))
-    else
-      ( [ (10, 5_000); (100, 5_000); (1_000, 5_000) ],
-        [ (1_000, 20); (10_000, 20); (100_000, 20) ],
-        (10_000, 200) )
+  let dispatch_sizes, lookup_spec, cache_spec =
+    if smoke then ([ (10, 200); (100, 200) ], (1_000, 100), (1_000, 50))
+    else ([ (10, 5_000); (100, 5_000); (1_000, 5_000) ], (3_000, 250), (10_000, 200))
   in
   Obs.Profile.reset ();
   Fmt.pr "@.# Hot-path indexing benchmarks%s@." (if smoke then " (smoke)" else "");
@@ -151,19 +178,16 @@ let run ~smoke () =
          ])
        dispatch);
 
-  let doc_match =
-    Obs.Profile.phase "doc_match" (fun () ->
-        List.map (fun (nodes, q) -> doc_match_case ~nodes ~queries:q) doc_sizes)
+  let items, queries = lookup_spec in
+  let keyed =
+    Obs.Profile.phase "keyed_lookup" (fun () -> [ keyed_lookup_case ~items ~queries ])
   in
-  Util.print_table ~title:"document matching: full traversal vs term index"
-    ~header:[ "nodes"; "queries"; "answers"; "naive ms"; "build ms"; "indexed ms"; "speedup" ]
+  Util.print_table ~title:"keyed lookups on a changing catalog (one change per five lookups)"
+    ~header:[ "nodes"; "queries"; "cached ms"; "ms/lookup" ]
     (List.map
-       (fun (nodes, q, answers, naive, build, indexed) ->
-         [
-           Util.si nodes; string_of_int q; string_of_int answers; Util.f2 naive;
-           Util.f2 build; Util.f2 indexed; Util.f1 (speedup naive indexed) ^ "x";
-         ])
-       doc_match);
+       (fun (nodes, q, ms) ->
+         [ Util.si nodes; string_of_int q; Util.f2 ms; Util.f2 (ms /. float_of_int q) ])
+       keyed);
 
   let nodes, repeats = cache_spec in
   let cache = Obs.Profile.phase "query_cache" (fun () -> [ cache_case ~nodes ~repeats ]) in
@@ -191,17 +215,12 @@ let run ~smoke () =
                       ff "indexed_ms" indexed; ff "speedup" (speedup naive indexed);
                     ])
                 dispatch));
-        Printf.sprintf "%S: %s" "doc_match"
+        Printf.sprintf "%S: %s" "keyed_lookup"
           (arr
              (List.map
-                (fun (nodes, q, answers, naive, build, indexed) ->
-                  obj
-                    [
-                      fi "nodes" nodes; fi "queries" q; fi "answers" answers;
-                      ff "naive_ms" naive; ff "build_ms" build; ff "indexed_ms" indexed;
-                      ff "speedup" (speedup naive indexed);
-                    ])
-                doc_match));
+                (fun (nodes, q, ms) ->
+                  obj [ fi "nodes" nodes; fi "queries" q; ff "lookup_cached_ms" ms ])
+                keyed));
         Printf.sprintf "%S: %s" "query_cache"
           (arr
              (List.map

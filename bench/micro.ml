@@ -39,12 +39,6 @@ let bench_simulate_ordered =
   Test.make ~name:"simulate: ordered partial (200 products)"
     (Staged.stage (fun () -> Simulate.matches_anywhere ordered_query ordered_catalog))
 
-let catalog_index = Term_index.build catalog
-
-let bench_simulate_indexed =
-  Test.make ~name:"simulate: unordered partial, term-indexed (200 products)"
-    (Staged.stage (fun () -> Simulate.matches_anywhere ~index:catalog_index product_query catalog))
-
 let sample_program =
   {|ruleset s {
       rule r: on seq{a{{item[var I]}}, b{{item[var I]}}} within 2 h
@@ -99,7 +93,6 @@ let tests =
   [
     bench_simulate_unordered;
     bench_simulate_ordered;
-    bench_simulate_indexed;
     bench_parse;
     bench_xml_parse;
     bench_incremental;

@@ -38,7 +38,6 @@ module Path = Xchange_data.Path
 module Xml = Xchange_data.Xml
 module Rdf = Xchange_data.Rdf
 module Identity = Xchange_data.Identity
-module Term_index = Xchange_data.Term_index
 module Topic_map = Xchange_data.Topic_map
 
 (* query *)

@@ -49,16 +49,7 @@ let get doc path =
   in
   go doc path
 
-(* [b] strictly extends [a]. *)
-let rec strict_prefix a b =
-  match (a, b) with
-  | [], _ :: _ -> true
-  | x :: a', y :: b' -> Int.equal x y && strict_prefix a' b'
-  | _, [] -> false
-
-let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
-let select ?label_paths doc selector =
+let select doc selector =
   (* Work on reversed paths internally; restore order at the end. *)
   let rec descend_all rpath t acc =
     (* all (rpath', subterm) pairs including t itself *)
@@ -76,25 +67,10 @@ let select ?label_paths doc selector =
             (i + 1, if step_matches step c then (i :: rpath, c) :: acc else acc))
           (0, []) (Term.children t)
         |> snd |> List.rev
-    | Descendant -> (
-        match (label_paths, step) with
-        | Some paths, Tag name ->
-            (* prune through the index: only label-[name] elements below
-               this node can match, and the index knows their paths *)
-            let here = List.rev rpath in
-            let depth = List.length here in
-            List.filter_map
-              (fun p ->
-                if strict_prefix here p then
-                  match get t (drop depth p) with
-                  | Some node -> Some (List.rev p, node)
-                  | None -> None
-                else None)
-              (paths name)
-        | _, _ ->
-            descend_all rpath t []
-            |> List.rev
-            |> List.filter (fun (rp, c) -> rp != rpath && step_matches step c))
+    | Descendant ->
+        descend_all rpath t []
+        |> List.rev
+        |> List.filter (fun (rp, c) -> rp != rpath && step_matches step c)
   in
   let rec go frontier = function
     | [] -> frontier

@@ -24,16 +24,9 @@ val parse_selector : string -> (selector, string) result
 val get : Term.t -> t -> Term.t option
 (** Subterm at a path, if the path is valid. *)
 
-val select : ?label_paths:(string -> t list) -> Term.t -> selector -> (t * Term.t) list
+val select : Term.t -> selector -> (t * Term.t) list
 (** All subterms matched by a selector, with their paths, in document
-    order.  The empty selector matches the root.
-
-    [label_paths], when given, must map an element label to the paths of
-    {e all} elements carrying it (from the root of [doc], document
-    order — e.g. {!Term_index.paths_with_label} of an index built from
-    this exact document value).  Descendant/tag steps ([//name]) then
-    prune through it instead of traversing the subtree; results are
-    identical to the unindexed evaluation. *)
+    order.  The empty selector matches the root. *)
 
 val replace : Term.t -> t -> Term.t -> Term.t option
 (** Functional update of the subterm at a path.  [None] if the path is

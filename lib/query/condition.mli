@@ -33,7 +33,7 @@ type env = {
   cached_match : resource -> seed:Subst.t -> Qterm.t -> Subst.set option;
       (** fast path for [In]: when the provider can answer "all matches
           of this query in this resource under this seed" itself
-          (typically memoized and index-pruned, see
+          (typically memoized per document version, see
           {!Xchange_web.Store}), it returns [Some answers] and [fetch] +
           {!Simulate} are bypassed; [None] falls back to fetching and
           matching.  Must deliver exactly the answers the fallback

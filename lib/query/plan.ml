@@ -54,21 +54,25 @@ let label_fingerprint required =
   in
   rle sorted
 
-(* One pass over the data children, then one lookup per demanded label.
-   Only called when the fingerprint is non-empty. *)
-let fingerprint_ok fp data =
-  let counts = Hashtbl.create 8 in
-  List.iter
+(* The element children carrying label [l], in document order. *)
+let with_label l data =
+  List.filter
     (function
-      | Term.Elem e ->
-          let k = e.Term.label in
-          Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-      | Term.Text _ | Term.Num _ | Term.Bool _ -> ())
-    data;
-  List.for_all
-    (fun (l, need) ->
-      match Hashtbl.find_opt counts l with Some n -> n >= need | None -> false)
-    fp
+      | Term.Elem e -> String.equal e.Term.label l
+      | Term.Text _ | Term.Num _ | Term.Bool _ -> false)
+    data
+
+(* One pass over the data children per demanded label, stopping once
+   the label's count is met.  Only called when the fingerprint is
+   non-empty. *)
+let fingerprint_ok fp data =
+  let rec enough l need = function
+    | _ when need = 0 -> true
+    | [] -> false
+    | Term.Elem e :: rest when String.equal e.Term.label l -> enough l (need - 1) rest
+    | _ :: rest -> enough l need rest
+  in
+  List.for_all (fun (l, need) -> enough l need data) fp
 
 (* ---- children matching (same alternatives as Simulate) ------------- *)
 
@@ -305,34 +309,28 @@ and compile_elem (ep : Qterm.elem_pat) : code =
                   let after_children =
                     match (unordered, label_groups) with
                     | true, Some groups ->
-                        (* bucket children by label; element children only —
-                           leaves can match no exact-labelled pattern, so
+                        (* leaves can match no exact-labelled pattern, so
                            under Total any leaf child refutes outright *)
-                        let buckets = Hashtbl.create 8 in
-                        let nleaves = ref 0 in
-                        List.iter
-                          (fun d ->
-                            match d with
-                            | Term.Elem e' ->
-                                let k = e'.Term.label in
-                                Hashtbl.replace buckets k
-                                  (d :: Option.value ~default:[] (Hashtbl.find_opt buckets k))
-                            | Term.Text _ | Term.Num _ | Term.Bool _ -> incr nleaves)
-                          data;
-                        if total && !nleaves > 0 then []
+                        if
+                          total
+                          && List.exists
+                               (function
+                                 | Term.Elem _ -> false
+                                 | Term.Text _ | Term.Num _ | Term.Bool _ -> true)
+                               data
+                        then []
                         else
                           (* thread substitutions through the per-label
-                             searches; a group that cannot be satisfied
-                             (count mismatch) refutes the whole element *)
+                             searches, each over the children carrying its
+                             label in document order; a group that cannot
+                             be satisfied (count mismatch) refutes the
+                             whole element *)
                           let rec across groups substs =
                             match (groups, substs) with
                             | _, [] -> []
                             | [], _ -> substs
                             | (l, pats) :: rest, _ ->
-                                let ds =
-                                  List.rev
-                                    (Option.value ~default:[] (Hashtbl.find_opt buckets l))
-                                in
+                                let ds = with_label l data in
                                 let np = List.length pats and nd = List.length ds in
                                 if (if total then nd <> np else nd < np) then []
                                 else
@@ -344,8 +342,8 @@ and compile_elem (ep : Qterm.elem_pat) : code =
                           in
                           (* Total coverage: the arity prune above left
                              [ndata = n_patterns] (no optionals here), so
-                             per-group count equality forces every bucket to
-                             belong to some group; assert the invariant
+                             per-group count equality forces every child
+                             to belong to some group; assert the invariant
                              rather than assume it *)
                           if total && ndata <> n_patterns then []
                           else across groups after_attrs
@@ -377,7 +375,6 @@ and compile_elem (ep : Qterm.elem_pat) : code =
 type t = {
   root : code;  (** the query matched at a node *)
   inner : code;  (** the desc-peeled query, for anywhere-matching *)
-  anchor : Qterm.anchor option;  (** of the peeled query *)
 }
 
 let compile q =
@@ -385,39 +382,13 @@ let compile q =
   let peeled = Qterm.peel_desc q in
   let root = compile_code q in
   let inner = if peeled == q then root else compile_code peeled in
-  { root; inner; anchor = Qterm.anchor peeled }
+  { root; inner }
 
 let matches ?(seed = Subst.empty) p t = Subst.dedup (p.root t seed)
 
-(* parents of the indexed label's occurrences, deduplicated (the root
-   path [] has no parent and is dropped) *)
-let parent_paths paths =
-  List.filter_map
-    (fun p -> match List.rev p with [] -> None | _ :: rev -> Some (List.rev rev))
-    paths
-  |> List.sort_uniq Stdlib.compare
-
-let matches_anywhere ?index ?(seed = Subst.empty) p t =
-  let traverse () =
-    let rec go acc t =
-      let acc = List.rev_append (p.inner t seed) acc in
-      List.fold_left go acc (Term.children t)
-    in
-    Subst.dedup (go [] t)
+let matches_anywhere ?(seed = Subst.empty) p t =
+  let rec go acc t =
+    let acc = List.rev_append (p.inner t seed) acc in
+    List.fold_left go acc (Term.children t)
   in
-  match (index, p.anchor) with
-  | None, _ | _, None -> traverse ()
-  | Some idx, Some a ->
-      let paths =
-        match a with
-        | Qterm.A_label l -> Term_index.paths_with_label idx l
-        | Qterm.A_leaf s -> Term_index.paths_with_leaf idx s
-        | Qterm.A_parent_label l -> parent_paths (Term_index.paths_with_label idx l)
-      in
-      Subst.dedup
-        (List.concat_map
-           (fun path ->
-             match Path.get t path with
-             | Some node -> p.inner node seed
-             | None -> [])
-           paths)
+  Subst.dedup (go [] t)

@@ -11,11 +11,16 @@
     - children pre-split into required / optional / negative lists, the
       mode flags precomputed;
     - per-element {b required-label fingerprints}: the multiset of exact
-      child labels a node must contain, checked against a cheap
-      one-level label count of the data children {e before} any
-      recursive descent (every matching mode makes a required child
-      pattern consume one distinct data child, so a missing label count
-      refutes the whole subtree);
+      child labels a node must contain, checked by one walk of the data
+      children per demanded label {e before} any recursive descent
+      (every matching mode makes a required child pattern consume one
+      distinct data child, so a missing label count refutes the whole
+      subtree);
+    - label-partitioned unordered search: when every child pattern is
+      required and exactly labelled, each label's patterns are matched
+      only against the children carrying that label (one walk of the
+      child list per label, document order kept), so the assignment
+      search never pairs a pattern with a child it cannot match;
     - arity pruning: more required patterns than data children (or, under
       [Total], more data children than patterns) fails without search;
     - child patterns reordered most-selective-first in the unordered
@@ -48,11 +53,9 @@ val matches : ?seed:Subst.t -> t -> Term.t -> Subst.set
 (** All solutions of matching the plan's query at the root of the term —
     byte-for-byte {!Simulate.matches} of the query it was compiled from. *)
 
-val matches_anywhere : ?index:Term_index.t -> ?seed:Subst.t -> t -> Term.t -> Subst.set
-(** All solutions at the root or any descendant.  [index] (built from
-    this exact document value) prunes through the plan's precomputed
-    {!Qterm.anchor} when the query has one; answers are identical either
-    way. *)
+val matches_anywhere : ?seed:Subst.t -> t -> Term.t -> Subst.set
+(** All solutions at the root or any descendant: one pre-order
+    traversal trying the desc-peeled query at every subterm. *)
 
 (** {1 Work counters}
 

@@ -113,36 +113,13 @@ module Key = struct
 end
 
 (* [matches_anywhere (Desc q)] and [matches_anywhere q] deliver the same
-   answer set (the unions over all subterms coincide), so outer [Desc]
-   wrappers can be peeled before looking for an anchor. *)
+   answer set (the unions over all subterms coincide), so anywhere
+   matching can peel outer [Desc] wrappers. *)
 let rec peel_desc = function Desc q -> peel_desc q | q -> q
 
 let rec exact_label = function
   | El { label = L l; _ } -> Some l
   | As (_, q) -> exact_label q
-  | Var _ | Leaf _ | El _ | Desc _ -> None
-
-type anchor = A_label of string | A_leaf of string | A_parent_label of string
-
-(* Which nodes can root-match [q]: elements with one exact label, scalar
-   leaves with one exact text, or — seeing through one level of
-   any-labelled element — parents of an exactly-labelled required child.
-   These are the shapes a {!Xchange_data.Term_index} can enumerate
-   (directly, or via the parents of an enumerated label).  [As] binds
-   the node [q'] matches, so it keeps its anchor; anything else ([Var],
-   [L_var], inner [Desc]...) can sit on arbitrary nodes. *)
-let rec anchor = function
-  | El { label = L l; _ } -> Some (A_label l)
-  | Leaf (Text_is s) -> Some (A_leaf s)
-  | As (_, q) -> anchor q
-  | El { label = L_any; children; _ } ->
-      (* an any-labelled element with an exactly-labelled required child
-         can only root at parents of that child label: every matching
-         mode makes a required child consume one distinct data child *)
-      List.find_map
-        (function Pos q -> exact_label q | Opt _ | Without _ -> None)
-        children
-      |> Option.map (fun l -> A_parent_label l)
   | Var _ | Leaf _ | El _ | Desc _ -> None
 
 let validate q =

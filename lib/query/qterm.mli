@@ -125,25 +125,10 @@ module Key : Hashtbl.HashedType with type t = t
 val peel_desc : t -> t
 (** Strip outer [Desc] wrappers.  Matching anywhere in a document is
     invariant under outer [Desc] (the unions over all subterms
-    coincide), so anchor analysis peels them first. *)
+    coincide), so {!Plan} compiles the peeled query for it. *)
 
 val exact_label : t -> string option
 (** The element label the query demands at its root (through [As]
     wrappers), if it demands exactly one. *)
-
-type anchor =
-  | A_label of string  (** roots only at elements with this label *)
-  | A_leaf of string  (** roots only at leaves with this text *)
-  | A_parent_label of string
-      (** roots only at parents of elements with this label: an
-          any-labelled element pattern with an exactly-labelled required
-          child (the required child consumes one distinct data child in
-          every matching mode) *)
-
-val anchor : t -> anchor option
-(** Where can [q] root-match?  [None] means anywhere (full traversal).
-    Used by {!Simulate.matches_anywhere} and {!Plan} to prune matching
-    through a {!Xchange_data.Term_index}.  Apply to a {!peel_desc}ed
-    query. *)
 
 val pp : t Fmt.t

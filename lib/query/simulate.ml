@@ -235,36 +235,7 @@ let matches ?(plan = plan_default) ?(seed = Subst.empty) q t =
 
 let matcher q = if plan_default then Plan.matches (plan_of q) else matches ~plan:false q
 
-(* parents of the indexed label's occurrences, deduplicated (the root
-   path [] has no parent and is dropped) *)
-let parent_paths paths =
-  List.filter_map
-    (fun p -> match List.rev p with [] -> None | _ :: rev -> Some (List.rev rev))
-    paths
-  |> List.sort_uniq Stdlib.compare
-
-let matches_anywhere ?(plan = plan_default) ?index ?(seed = Subst.empty) q t =
-  if plan then Plan.matches_anywhere ?index ~seed (plan_of q) t
-  else
-    match index with
-    | None -> match_desc q t seed
-    | Some idx -> (
-        let q' = Qterm.peel_desc q in
-        match Qterm.anchor q' with
-        | None -> match_desc q t seed
-        | Some a ->
-            let paths =
-              match a with
-              | Qterm.A_label l -> Term_index.paths_with_label idx l
-              | Qterm.A_leaf s -> Term_index.paths_with_leaf idx s
-              | Qterm.A_parent_label l -> parent_paths (Term_index.paths_with_label idx l)
-            in
-            Subst.dedup
-              (List.concat_map
-                 (fun p ->
-                   match Path.get t p with
-                   | Some node -> match_term q' node seed
-                   | None -> [])
-                 paths))
+let matches_anywhere ?(plan = plan_default) ?(seed = Subst.empty) q t =
+  if plan then Plan.matches_anywhere ~seed (plan_of q) t else match_desc q t seed
 
 let holds ?plan ?seed q t = matches ?plan ?seed q t <> []

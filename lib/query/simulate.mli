@@ -29,18 +29,12 @@ open Xchange_obs
 val matches : ?plan:bool -> ?seed:Subst.t -> Qterm.t -> Term.t -> Subst.set
 (** All solutions of matching [q] at the root of [t]. *)
 
-val matches_anywhere :
-  ?plan:bool -> ?index:Term_index.t -> ?seed:Subst.t -> Qterm.t -> Term.t -> Subst.set
+val matches_anywhere : ?plan:bool -> ?seed:Subst.t -> Qterm.t -> Term.t -> Subst.set
 (** All solutions of matching [q] at the root or at any descendant —
-    equivalent to [matches (Desc q) t].
-
-    [index] must be a {!Term_index.t} built from this exact document
-    value (the store maintains that invariant).  Queries with a
-    {!Qterm.anchor} (an exact root label or leaf text, or an
-    any-labelled root with an exactly-labelled required child) then only
-    visit the candidate nodes the index lists instead of every subterm;
-    all other queries fall back to the full traversal.  Results are
-    identical either way ({!Subst.set}s are canonically sorted). *)
+    equivalent to [matches (Desc q) t]: one pre-order traversal that
+    tries the (desc-peeled) query at every subterm.  Callers that ask
+    the same question of the same document version again go through
+    {!Xchange_web.Store.query}, which memoizes the answers. *)
 
 val holds : ?plan:bool -> ?seed:Subst.t -> Qterm.t -> Term.t -> bool
 (** [matches] is non-empty. *)

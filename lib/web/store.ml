@@ -9,9 +9,9 @@ type watch_state =
   | Surrogate of { w_doc : string; oid : int; mutable last_digest : int64 }
   | Extensional of { w_doc : string; value : Term.t }
 
-(* The query cache key: the document's extensional digest (captured by
-   its term index), the query term itself, and a digest fingerprint of
-   the seed substitution.  Keying by the full seed keeps cached answers
+(* The query cache key: the extensional digest of the document version,
+   the query term itself, and a digest fingerprint of the seed
+   substitution.  Keying by the full seed keeps cached answers
    byte-for-byte those of a fresh evaluation — optional and negated
    subpatterns make seeded matching irreducible to joining unseeded
    answers.  Stale digests age out of the LRU by themselves. *)
@@ -33,14 +33,11 @@ type t = {
   graphs : (string, Rdf.graph) Hashtbl.t;
   watches : (int, watch_state) Hashtbl.t;
   mutable next_watch : int;
-  indexes : (string, Term_index.t) Hashtbl.t;  (** per current doc version *)
+  digests : (string, int64) Hashtbl.t;  (** of the current doc version, once queried *)
   qcache : Subst.set Qcache.t;
   mutable observers : (change -> unit) list;
   dynamic : (string, answerer) Hashtbl.t;  (** per-doc derived-register answerers *)
   m : Obs.Metrics.t;
-  c_index_builds : Obs.Metrics.Counter.t;
-  c_index_invalidations : Obs.Metrics.Counter.t;
-  c_indexed_selects : Obs.Metrics.Counter.t;
   c_dynamic_answers : Obs.Metrics.Counter.t;
 }
 
@@ -56,14 +53,11 @@ let create ?(cache_capacity = default_cache_capacity) () =
       graphs = Hashtbl.create 4;
       watches = Hashtbl.create 8;
       next_watch = 0;
-      indexes = Hashtbl.create 16;
+      digests = Hashtbl.create 16;
       qcache = Qcache.create ~cap:cache_capacity;
       observers = [];
       dynamic = Hashtbl.create 4;
       m;
-      c_index_builds = Obs.Metrics.counter m "store.index_builds";
-      c_index_invalidations = Obs.Metrics.counter m "store.index_invalidations";
-      c_indexed_selects = Obs.Metrics.counter m "store.indexed_selects";
       c_dynamic_answers = Obs.Metrics.counter m "store.dynamic_answers";
     }
   in
@@ -75,8 +69,6 @@ let create ?(cache_capacity = default_cache_capacity) () =
       Qcache.evictions t.qcache);
   Obs.Metrics.gauge_fn m "store.query_cache_entries" (fun () ->
       float_of_int (Qcache.length t.qcache));
-  Obs.Metrics.gauge_fn m "store.live_indexes" (fun () ->
-      float_of_int (Hashtbl.length t.indexes));
   t
 
 let metrics t = t.m
@@ -87,31 +79,13 @@ let fire t ch = List.iter (fun f -> f ch) t.observers
 
 let set_dynamic t name answer = Hashtbl.replace t.dynamic name answer
 
-(* Every document mutation drops the document's index; cached query
-   answers need no eager flush because their keys embed the digest of
-   the version they were computed on. *)
-let invalidate_index t name =
-  if Hashtbl.mem t.indexes name then begin
-    Hashtbl.remove t.indexes name;
-    Obs.Metrics.Counter.incr t.c_index_invalidations
-  end
-
-let existing_index t name = Hashtbl.find_opt t.indexes name
-
-let index_for t name =
-  match Hashtbl.find_opt t.indexes name with
-  | Some idx -> Some idx
-  | None -> (
-      match Hashtbl.find_opt t.docs name with
-      | None -> None
-      | Some d ->
-          let idx = Term_index.build d in
-          Obs.Metrics.Counter.incr t.c_index_builds;
-          Hashtbl.replace t.indexes name idx;
-          Some idx)
+(* Every document mutation drops the digest of the document's version;
+   cached query answers need no eager flush because their keys embed
+   the digest of the version they were computed on. *)
+let forget_digest t name = Hashtbl.remove t.digests name
 
 let add_doc t name d =
-  invalidate_index t name;
+  forget_digest t name;
   Hashtbl.replace t.docs name (Identity.assign d);
   fire t (Ch_doc name)
 
@@ -121,7 +95,7 @@ let doc_names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: ac
 let remove_doc t name =
   if Hashtbl.mem t.docs name then begin
     Hashtbl.remove t.docs name;
-    invalidate_index t name;
+    forget_digest t name;
     fire t (Ch_doc name);
     true
   end
@@ -134,13 +108,9 @@ let rdf_names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: ac
 let notify doc kind count = { doc; summary = Term.elem "update" ~attrs:[ ("doc", doc); ("kind", kind) ] [ Term.int count ] }
 
 (* Apply a path-wise rewrite to every selected node, deepest/last paths
-   first so earlier rewrites do not invalidate later paths.  When the
-   document still has a live term index, descendant/tag selector steps
-   prune through it instead of traversing. *)
-let rewrite_selected ?index d selector f =
-  let label_paths = Option.map (fun idx l -> Term_index.paths_with_label idx l) index in
-  let selected = Path.select ?label_paths d selector in
-  let ordered = List.sort (fun (a, _) (b, _) -> Stdlib.compare b a) selected in
+   first so earlier rewrites do not invalidate later paths. *)
+let rewrite_selected d selector f =
+  let ordered = List.sort (fun (a, _) (b, _) -> Stdlib.compare b a) (Path.select d selector) in
   List.fold_left
     (fun (d, n) (path, node) ->
       match f d path node with Some d' -> (d', n + 1) | None -> (d, n))
@@ -153,44 +123,36 @@ let get_doc t name =
 
 let ( let* ) = Result.bind
 
-(* The index of the document's current version, for selector pruning
-   inside updates: use it if a query already built it, but do not build
-   one just for a mutation that is about to invalidate it. *)
-let update_index t name =
-  match existing_index t name with
-  | Some idx ->
-      Obs.Metrics.Counter.incr t.c_indexed_selects;
-      Some idx
-  | None -> None
-
 let apply_update t (update : Action.update) =
   match update with
   | Action.U_insert { doc = name; selector; at; content } ->
       let* d = get_doc t name in
       let content = Identity.assign content in
       let d', n =
-        rewrite_selected ?index:(update_index t name) d selector (fun d path _node ->
-            Path.insert_child ?at d path content)
+        rewrite_selected d selector (fun d path _node -> Path.insert_child ?at d path content)
       in
       if n = 0 then Error (Fmt.str "insert: selector matched nothing in %s" name)
       else begin
         Hashtbl.replace t.docs name d';
-        invalidate_index t name;
+        forget_digest t name;
         Ok (n, [ notify name "insert" n ])
       end
   | Action.U_delete { doc = name; selector; pattern } ->
       let* d = get_doc t name in
-      let index = update_index t name in
       let d', n =
         match pattern with
-        | None -> rewrite_selected ?index d selector (fun d path _ -> Path.delete d path)
+        | None -> rewrite_selected d selector (fun d path _ -> Path.delete d path)
         | Some q ->
-            rewrite_selected ?index d selector (fun d path node ->
-                (* delete children of the selected node matching q *)
-                let doomed =
-                  List.mapi (fun i c -> (i, c)) (Term.children node)
-                  |> List.filter (fun (_, c) -> Simulate.holds q c)
-                  |> List.rev_map (fun (i, _) -> path @ [ i ])
+            (* one plan lookup per delete, not one per child *)
+            let matches = Simulate.matcher q in
+            rewrite_selected d selector (fun d path node ->
+                (* delete children of the selected node matching q,
+                   last first so earlier indices stay valid *)
+                let _, doomed =
+                  List.fold_left
+                    (fun (i, doomed) c ->
+                      (i + 1, if matches c <> [] then (path @ [ i ]) :: doomed else doomed))
+                    (0, []) (Term.children node)
                 in
                 if doomed = [] then None
                 else
@@ -199,12 +161,12 @@ let apply_update t (update : Action.update) =
                     (Some d) doomed)
       in
       Hashtbl.replace t.docs name d';
-      if n > 0 then invalidate_index t name;
+      if n > 0 then forget_digest t name;
       Ok (n, if n = 0 then [] else [ notify name "delete" n ])
   | Action.U_replace { doc = name; selector; content } ->
       let* d = get_doc t name in
       let d', n =
-        rewrite_selected ?index:(update_index t name) d selector (fun d path node ->
+        rewrite_selected d selector (fun d path node ->
             (* the replacement inherits the replaced element's surrogate
                identity (Thesis 10) *)
             let keep_oid = Term.elem_id node in
@@ -214,7 +176,7 @@ let apply_update t (update : Action.update) =
       if n = 0 then Error (Fmt.str "replace: selector matched nothing in %s" name)
       else begin
         Hashtbl.replace t.docs name d';
-        invalidate_index t name;
+        forget_digest t name;
         Ok (n, [ notify name "replace" n ])
       end
   | Action.U_create_doc { doc = name; content } ->
@@ -260,7 +222,7 @@ let replace_at t ~doc:name path content =
       match Path.replace d path content with
       | Some d' ->
           Hashtbl.replace t.docs name d';
-          invalidate_index t name;
+          forget_digest t name;
           fire t (Ch_doc name);
           Ok ()
       | None -> Error (Fmt.str "cannot replace at %a in %s" Path.pp path name))
@@ -268,17 +230,24 @@ let replace_at t ~doc:name path content =
 let seed_fingerprint seed =
   List.map (fun (v, term) -> (v, Term.digest term)) (Subst.to_list seed)
 
+(* The digest of the document's current version, computed by the first
+   fallback query on that version. *)
+let version_digest t name d =
+  match Hashtbl.find_opt t.digests name with
+  | Some dg -> dg
+  | None ->
+      let dg = Term.digest d in
+      Hashtbl.replace t.digests name dg;
+      dg
+
 let query_fallback t name d ~seed q =
-  match index_for t name with
-  | None -> Simulate.matches_anywhere ~seed q d
-  | Some idx -> (
-      let key = (Term_index.digest idx, q, seed_fingerprint seed) in
-      match Qcache.find t.qcache key with
-      | Some answers -> answers
-      | None ->
-          let answers = Simulate.matches_anywhere ~index:idx ~seed q d in
-          Qcache.add t.qcache key answers;
-          answers)
+  let key = (version_digest t name d, q, seed_fingerprint seed) in
+  match Qcache.find t.qcache key with
+  | Some answers -> answers
+  | None ->
+      let answers = Simulate.matches_anywhere ~seed q d in
+      Qcache.add t.qcache key answers;
+      answers
 
 let query t ~doc:name ?(seed = Subst.empty) q =
   match Hashtbl.find_opt t.docs name with
@@ -324,8 +293,7 @@ let backup t =
   }
 
 let rollback t b =
-  Obs.Metrics.Counter.incr ~by:(Hashtbl.length t.indexes) t.c_index_invalidations;
-  Hashtbl.reset t.indexes;
+  Hashtbl.reset t.digests;
   Hashtbl.reset t.docs;
   List.iter (fun (k, v) -> Hashtbl.replace t.docs k v) b.b_docs;
   Hashtbl.reset t.graphs;
@@ -401,8 +369,7 @@ let load_snapshot t term =
   match parse_snapshot term with
   | Error _ as e -> e
   | Ok (docs, graphs) ->
-      Obs.Metrics.Counter.incr ~by:(Hashtbl.length t.indexes) t.c_index_invalidations;
-      Hashtbl.reset t.indexes;
+      Hashtbl.reset t.digests;
       Hashtbl.reset t.docs;
       Hashtbl.reset t.graphs;
       List.iter (fun (name, d) -> Hashtbl.replace t.docs name (Identity.assign d)) docs;
@@ -461,5 +428,3 @@ let poll_watch t id : watch_status =
       | Some d -> if Identity.find_equal d e.value = [] then `Lost else `Unchanged)
 
 let watch_count t = Hashtbl.length t.watches
-
-let index t name = index_for t name

@@ -88,7 +88,7 @@ val on_change : t -> (change -> unit) -> unit
 
 val set_dynamic : t -> string -> (seed:Subst.t -> Qterm.t -> Subst.set option) -> unit
 (** Install a per-document answerer consulted by {!query} {e before}
-    the index/LRU path.  Returning [Some answers] serves the query from
+    the memoized document path.  Returning [Some answers] serves the query from
     the derived structure (counted in [store.dynamic_answers]);
     returning [None] falls back to the document.  The contract is
     answer-equivalence: a [Some] result must be exactly what the
@@ -98,36 +98,31 @@ val env : t -> Condition.env
 (** Query environment over this store only ([Local]/[Remote] resolve by
     path against this store; views resolve to nothing — the engine layers
     views on top).  [In] conditions are answered through {!query} — i.e.
-    index-pruned and memoized. *)
+    memoized. *)
 
-(** {1 Hot-path indexing and memoization}
+(** {1 Memoized queries}
 
-    The store owns one {!Term_index} per document, built lazily on the
-    first query and dropped on every mutation of that document
-    ({!apply}, {!replace_at}, {!add_doc}, {!remove_doc}, {!rollback}).
     Query answers are memoized in an LRU keyed by
-    [(document digest, query, seed fingerprint)] — repeated conditions
-    and polls over an unchanged document are O(1); entries of stale
-    document versions age out by eviction since their digest key can
-    never be looked up again. *)
+    [(version digest, query, seed fingerprint)].  The version digest is
+    the document's extensional {!Term.digest}, computed by the first
+    query on a version and dropped on every mutation of that document
+    ({!apply}, {!apply_txn}, {!replace_at}, {!add_doc}, {!remove_doc},
+    {!rollback}, {!load_snapshot}).  Repeated conditions and polls over
+    an unchanged document are O(1); entries of stale versions age out by
+    eviction, since their digest can never be looked up again unless an
+    equal document comes back — after a rollback, or after a crash
+    recovery that reloads the same contents, the old entries hit
+    again. *)
 
 val query : t -> doc:string -> ?seed:Subst.t -> Qterm.t -> Subst.set
 (** All matches of the query anywhere in the named document, exactly as
-    [Simulate.matches_anywhere ~seed q] on {!doc} — but candidate-pruned
-    through the document's term index and memoized.  [] when the
+    [Simulate.matches_anywhere ~seed q] on {!doc}, memoized.  [] when the
     document does not exist. *)
-
-val index : t -> string -> Term_index.t option
-(** The (lazily built) index of the document's current version; [None]
-    if the document does not exist. *)
 
 val metrics : t -> Obs.Metrics.t
 (** The store's registry, counting since [create]:
-    [store.index_builds], [store.index_invalidations],
-    [store.indexed_selects] (update-selector evaluations that pruned
-    through a live index), [store.dynamic_answers], plus pull cells
-    sampling the query LRU ([store.query_cache_hits], [_misses],
-    [_evictions], [_entries]) and [store.live_indexes]. *)
+    [store.dynamic_answers], plus pull cells sampling the query LRU
+    ([store.query_cache_hits], [_misses], [_evictions], [_entries]). *)
 
 (** {1 Snapshots} — the persistent side of a node, as one data term
     (documents and RDF graphs; watches are runtime state and are not

@@ -32,27 +32,21 @@ type record =
 (* CRC32 (IEEE 802.3, reflected, table-driven)                         *)
 
 let crc_table =
-  let t = Array.make 256 0l in
-  for n = 0 to 255 do
-    let c = ref (Int32.of_int n) in
-    for _ = 0 to 7 do
-      c :=
-        if Int32.logand !c 1l <> 0l then
-          Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-        else Int32.shift_right_logical !c 1
-    done;
-    t.(n) <- !c
-  done;
-  t
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
+(* on native [int]s (63 bits, so every 32-bit value fits), with no
+   boxed [Int32] per byte *)
 let crc32 s =
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl) in
-      c := Int32.logxor crc_table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* ------------------------------------------------------------------ *)
 (* Binary codec.  Fixed-width little-endian scalars, u32 length

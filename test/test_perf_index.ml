@@ -1,5 +1,5 @@
-(* The hot-path indexing layer (term index, dispatch table, query cache)
-   must be a pure acceleration: every property here pits an indexed or
+(* The hot-path accelerators (sub-index dispatch, query cache, dedup)
+   must be pure accelerations: every property here pits an indexed or
    memoized evaluation against the naive reference and demands identical
    answers.  See HACKING.md "Performance architecture". *)
 
@@ -9,51 +9,7 @@ let subst_sets_equal a b = List.equal Subst.equal a b
 
 let pp_set = Fmt.str "%a" Subst.pp_set
 
-(* ---- matches_anywhere: with / without a term index ---- *)
-
 let seed_x = Option.get (Subst.of_list [ ("X", Term.text "x") ])
-
-let match_prop ~seed (q, t) =
-  let naive = Simulate.matches_anywhere ~seed q t in
-  let indexed = Simulate.matches_anywhere ~index:(Term_index.build t) ~seed q t in
-  if subst_sets_equal naive indexed then true
-  else
-    QCheck.Test.fail_reportf "query %a@.doc %s@.naive: %s@.indexed: %s" Qterm.pp q
-      (Term.to_string t) (pp_set naive) (pp_set indexed)
-
-let prop_match_indexed =
-  QCheck.Test.make ~name:"matches_anywhere: indexed = naive" ~count:1000
-    (QCheck.pair Gen.qterm_arb Gen.xml_term_arb)
-    (match_prop ~seed:Subst.empty)
-
-let prop_match_indexed_seeded =
-  QCheck.Test.make ~name:"matches_anywhere: indexed = naive (seeded)" ~count:500
-    (QCheck.pair Gen.qterm_arb Gen.xml_term_arb)
-    (match_prop ~seed:seed_x)
-
-(* ---- Path.select: with / without label-path pruning ---- *)
-
-let selector_gen =
-  QCheck.Gen.(
-    list_size (int_bound 3)
-      (pair
-         (oneofl [ Path.Child; Path.Descendant ])
-         (oneof [ return Path.Any; map (fun l -> Path.Tag l) Gen.small_label ])))
-
-let selector_print sel =
-  String.concat ""
-    (List.map
-       (fun (ax, st) ->
-         (match ax with Path.Child -> "/" | Path.Descendant -> "//")
-         ^ match st with Path.Any -> "*" | Path.Tag l -> l)
-       sel)
-
-let prop_select_pruned =
-  QCheck.Test.make ~name:"Path.select: label_paths pruning = full traversal" ~count:1000
-    (QCheck.pair Gen.xml_term_arb (QCheck.make ~print:selector_print selector_gen))
-    (fun (t, sel) ->
-      let idx = Term_index.build t in
-      Path.select t sel = Path.select ~label_paths:(Term_index.paths_with_label idx) t sel)
 
 (* ---- Subst.dedup: bucketed fast path = reference sort_uniq ---- *)
 
@@ -353,14 +309,18 @@ let prop_interleave =
 (* ---- Store.query: memoized answers stay coherent across updates ---- *)
 
 (* Scripts interleave queries (drawn from a small pool so the cache gets
-   hits) with document mutations; after every step the cached answer must
-   equal a fresh uncached evaluation of the store's current document. *)
+   hits) with every kind of document mutation the store offers,
+   including the ones that bring an earlier version back (rollbacks,
+   reloading the store's own snapshot, re-adding an equal document),
+   whose cached answers are then served again.  After every step the
+   cached answer must equal a fresh uncached evaluation of the store's
+   current document. *)
 let cache_case_gen =
   QCheck.Gen.(
     pair Gen.xml_term_gen
       (pair
          (array_size (return 3) Gen.qterm_gen)
-         (list_size (int_bound 25) (pair (int_bound 5) Gen.term_gen))))
+         (list_size (int_bound 25) (pair (int_bound 12) Gen.term_gen))))
 
 let cache_prop (doc0, (pool, script)) =
   let store = Store.create ~cache_capacity:8 () in
@@ -373,22 +333,57 @@ let cache_prop (doc0, (pool, script)) =
       QCheck.Test.fail_reportf "query %a@.cached: %s@.fresh: %s" Qterm.pp q (pp_set got)
         (pp_set want)
   in
+  let check_all () =
+    Array.for_all (check ~seed:Subst.empty) pool && check ~seed:seed_x pool.(0)
+  in
+  let insert term = Action.U_insert { doc = "/d"; selector = []; at = None; content = term } in
+  let mutate tag term =
+    match tag with
+    | 4 -> ignore (Store.apply store (insert term))
+    | 5 ->
+        ignore
+          (Store.apply store
+             (Action.U_replace
+                { doc = "/d"; selector = [ (Path.Descendant, Path.Tag "item") ]; content = term }))
+    | 6 ->
+        ignore
+          (Store.apply store (Action.U_delete { doc = "/d"; selector = []; pattern = Some pool.(1) }))
+    | 7 ->
+        ignore
+          (Store.apply store
+             (Action.U_delete
+                { doc = "/d"; selector = [ (Path.Descendant, Path.Any) ]; pattern = Some pool.(2) }))
+    | 8 ->
+        (* the second update selects nothing: the whole batch rolls back *)
+        ignore
+          (Store.apply_txn store
+             [
+               insert term;
+               Action.U_insert
+                 { doc = "/d"; selector = [ (Path.Child, Path.Tag "absent") ]; at = None; content = term };
+             ])
+    | 9 ->
+        (* a version queried between backup and rollback must not
+           outlive it ([check] fails the property itself) *)
+        let b = Store.backup store in
+        ignore (Store.apply store (insert term));
+        ignore (check ~seed:Subst.empty pool.(0));
+        Store.rollback store b
+    | 10 -> Result.get_ok (Store.load_snapshot store (Store.snapshot store))
+    | 11 ->
+        let d = Option.get (Store.doc store "/d") in
+        ignore (Store.remove_doc store "/d");
+        Store.add_doc store "/d" (Term.strip_ids d)
+    | _ -> ignore (Store.replace_at store ~doc:"/d" [ 0 ] term)
+  in
   List.for_all
     (fun (tag, term) ->
       match tag with
       | 0 | 1 | 2 -> check ~seed:Subst.empty pool.(tag)
       | 3 -> check ~seed:seed_x pool.(0)
-      | 4 ->
-          ignore
-            (Store.apply store
-               (Action.U_insert { doc = "/d"; selector = []; at = None; content = term }));
-          true
       | _ ->
-          ignore
-            (Store.apply store
-               (Action.U_replace
-                  { doc = "/d"; selector = [ (Path.Descendant, Path.Tag "item") ]; content = term }));
-          true)
+          mutate tag term;
+          check_all ())
     script
 
 let prop_cache_coherent =
@@ -433,21 +428,24 @@ let test_store_counters () =
   let st = cells (Store.metrics s) in
   Alcotest.(check int) "one miss" 1 (st "store.query_cache_misses");
   Alcotest.(check int) "one hit" 1 (st "store.query_cache_hits");
-  Alcotest.(check int) "one index built" 1 (st "store.index_builds");
-  Alcotest.(check int) "one live index" 1 (st "store.live_indexes");
-  (* a mutation invalidates the index and changes the digest key *)
+  (* a mutation changes the version digest in the key *)
+  let before = Store.snapshot s in
   ignore
     (Store.apply s
        (Action.U_insert
           { doc = "/d"; selector = []; at = None; content = Term.elem "item" [ Term.text "y" ] }));
-  let st = cells (Store.metrics s) in
-  Alcotest.(check bool) "invalidated" true (st "store.index_invalidations" >= 1);
-  Alcotest.(check int) "no live index" 0 (st "store.live_indexes");
   let r3 = Store.query s ~doc:"/d" q in
   Alcotest.(check int) "new version answers" 2 (List.length r3);
   let st = cells (Store.metrics s) in
   Alcotest.(check int) "second miss" 2 (st "store.query_cache_misses");
-  Alcotest.(check int) "index rebuilt" 2 (st "store.index_builds")
+  (* reloading the earlier contents (as crash recovery does) brings its
+     digest, and so its cached answers, back *)
+  Result.get_ok (Store.load_snapshot s before);
+  let r4 = Store.query s ~doc:"/d" q in
+  Alcotest.(check bool) "restored version answers" true (subst_sets_equal r1 r4);
+  let st = cells (Store.metrics s) in
+  Alcotest.(check int) "no third miss" 2 (st "store.query_cache_misses");
+  Alcotest.(check int) "restored version hits" 2 (st "store.query_cache_hits")
 
 let counter engine = cells (Engine.metrics engine)
 
@@ -546,9 +544,6 @@ let test_load_ruleset_keeps_horizon () =
 let suite =
   ( "perf-index",
     [
-      QCheck_alcotest.to_alcotest ~long:true prop_match_indexed;
-      QCheck_alcotest.to_alcotest prop_match_indexed_seeded;
-      QCheck_alcotest.to_alcotest prop_select_pruned;
       QCheck_alcotest.to_alcotest prop_dedup;
       QCheck_alcotest.to_alcotest ~long:true prop_dispatch;
       QCheck_alcotest.to_alcotest prop_interleave;
@@ -556,7 +551,7 @@ let suite =
         test_accumulator_observes_time;
       QCheck_alcotest.to_alcotest prop_cache_coherent;
       Alcotest.test_case "LRU bounds and counters" `Quick test_lru;
-      Alcotest.test_case "store index/cache counters" `Quick test_store_counters;
+      Alcotest.test_case "store query-cache counters" `Quick test_store_counters;
       Alcotest.test_case "engine dispatch counters" `Quick test_engine_counters;
       Alcotest.test_case "advance touches only clocked rules" `Quick
         test_advance_scales_with_clocked_rules;

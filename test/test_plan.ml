@@ -34,29 +34,69 @@ let prop_plan_root_seeded =
     (QCheck.pair Gen.qterm_full_arb Gen.term_full_arb)
     (root_prop ~seed:seed_x)
 
-(* anywhere-matching: interpreter / plan x unindexed / indexed must all
-   agree (the index additionally exercises the anchor pruning, including
-   the parent-of-label see-through) *)
 let anywhere_prop (q, t) =
-  let index = Term_index.build t in
-  let reference = Simulate.matches_anywhere ~plan:false q t in
-  let variants =
-    [
-      ("interp+index", Simulate.matches_anywhere ~plan:false ~index q t);
-      ("plan", Simulate.matches_anywhere ~plan:true q t);
-      ("plan+index", Simulate.matches_anywhere ~plan:true ~index q t);
-    ]
-  in
-  match List.find_opt (fun (_, s) -> not (subst_sets_equal reference s)) variants with
-  | None -> true
-  | Some (name, s) ->
-      QCheck.Test.fail_reportf "query %a@.doc %s@.interp: %s@.%s: %s" Qterm.pp q
-        (Term.to_string t) (pp_set reference) name (pp_set s)
+  let interp = Simulate.matches_anywhere ~plan:false q t in
+  let compiled = Simulate.matches_anywhere ~plan:true q t in
+  if subst_sets_equal interp compiled then true
+  else
+    QCheck.Test.fail_reportf "query %a@.doc %s@.interp: %s@.plan: %s" Qterm.pp q
+      (Term.to_string t) (pp_set interp) (pp_set compiled)
 
 let prop_plan_anywhere =
-  QCheck.Test.make ~name:"plan: matches_anywhere = interpreter (+/- index)" ~count:2000
+  QCheck.Test.make ~name:"plan: matches_anywhere = interpreter" ~count:2000
     (QCheck.pair Gen.qterm_full_arb Gen.term_full_arb)
     anywhere_prop
+
+(* ---- label-grouped shapes ----
+   Element patterns whose children are all required and exactly
+   labelled take the plan's per-label search.  Labels repeat among the
+   patterns and among the data children, and data children mix leaves
+   with same-label elements, so per-label counts, leaf refutation under
+   Total and document order inside a label all matter. *)
+
+let group_label = QCheck.Gen.oneofl [ "a"; "b"; "c" ]
+
+let group_query_gen =
+  let open QCheck.Gen in
+  let var_name = oneofl [ "X"; "Y"; "Z" ] in
+  let leaf = oneof [ map Qterm.var var_name; map Qterm.txt (oneofl [ "x"; "y" ]) ] in
+  let child =
+    map3
+      (fun label inner as_var ->
+        let q = Qterm.el label (List.map Qterm.pos inner) in
+        match as_var with Some v -> Qterm.As (v, q) | None -> q)
+      group_label (list_size (int_bound 1) leaf)
+      (opt ~ratio:0.2 var_name)
+  in
+  map3
+    (fun (ord, spec) children root ->
+      Qterm.El
+        { Qterm.label = Qterm.L root; attrs = []; ord; spec; children = List.map Qterm.pos children })
+    (pair Gen.ordering (oneofl [ Qterm.Total; Qterm.Partial ]))
+    (list_size (int_range 1 4) child)
+    (oneofl [ "r"; "a" ])
+
+let group_term_gen =
+  let open QCheck.Gen in
+  let leaf = map Term.text (oneofl [ "x"; "y" ]) in
+  let child =
+    frequency
+      [
+        (1, leaf);
+        (4, map2 (fun label inner -> Term.elem label inner) group_label (list_size (int_bound 1) leaf));
+      ]
+  in
+  map3
+    (fun ord root children -> Term.elem ~ord root children)
+    Gen.ordering (oneofl [ "r"; "a" ])
+    (list_size (int_bound 5) child)
+
+let prop_plan_label_groups =
+  QCheck.Test.make ~name:"plan: label-grouped shapes = interpreter" ~count:1000
+    (QCheck.pair
+       (QCheck.make ~print:(Fmt.str "%a" Qterm.pp) group_query_gen)
+       (QCheck.make ~print:Term.to_string group_term_gen))
+    (fun (q, t) -> root_prop ~seed:Subst.empty (q, t) && anywhere_prop (q, t))
 
 (* ---- fingerprint pruning: fires, and prunes only true rejections ---- *)
 
@@ -137,72 +177,6 @@ let test_store_mutation () =
   in
   Alcotest.(check bool) "cached+plan = fresh interpreter" true (subst_sets_equal fresh a2)
 
-(* ---- anchor: see-through and pinned fallback ---- *)
-
-let test_anchor_see_through () =
-  (* any-labelled element with an exactly-labelled required child
-     anchors at parents of that label *)
-  let q =
-    Qterm.El
-      {
-        Qterm.label = Qterm.L_any;
-        attrs = [];
-        ord = Term.Unordered;
-        spec = Qterm.Partial;
-        children = [ Qterm.pos (Qterm.el "needle" [ Qterm.pos (Qterm.var "X") ]) ];
-      }
-  in
-  (match Qterm.anchor q with
-  | Some (Qterm.A_parent_label "needle") -> ()
-  | _ -> Alcotest.fail "expected A_parent_label anchor");
-  (* pinned fallback: no exactly-labelled required child -> no anchor *)
-  let no_anchor children =
-    Qterm.anchor
-      (Qterm.El
-         {
-           Qterm.label = Qterm.L_any;
-           attrs = [];
-           ord = Term.Unordered;
-           spec = Qterm.Partial;
-           children;
-         })
-  in
-  Alcotest.(check bool) "var child: full traversal" true
-    (no_anchor [ Qterm.pos (Qterm.var "X") ] = None);
-  Alcotest.(check bool) "optional exact child: full traversal" true
-    (no_anchor [ Qterm.opt (Qterm.el "needle" []) ] = None);
-  Alcotest.(check bool) "desc-wrapped exact child: full traversal" true
-    (no_anchor [ Qterm.pos (Qterm.desc (Qterm.el "needle" [])) ] = None);
-  (* label variables never anchor *)
-  Alcotest.(check bool) "label-var root: full traversal" true
-    (Qterm.anchor
-       (Qterm.El
-          {
-            Qterm.label = Qterm.L_var "L";
-            attrs = [];
-            ord = Term.Unordered;
-            spec = Qterm.Partial;
-            children = [ Qterm.pos (Qterm.el "needle" []) ];
-          })
-    = None);
-  (* equivalence on a document with needles at several depths, including
-     directly under the root *)
-  let doc =
-    Term.elem "db"
-      [
-        Term.elem "needle" [ Term.text "top" ];
-        Term.elem "box" [ Term.elem "needle" [ Term.text "deep" ] ];
-        Term.elem "box" [ Term.elem "other" [ Term.text "no" ] ];
-      ]
-  in
-  let index = Term_index.build doc in
-  let naive = Simulate.matches_anywhere ~plan:false q doc in
-  Alcotest.(check bool) "indexed interp = naive" true
-    (subst_sets_equal naive (Simulate.matches_anywhere ~plan:false ~index q doc));
-  Alcotest.(check bool) "indexed plan = naive" true
-    (subst_sets_equal naive (Simulate.matches_anywhere ~plan:true ~index q doc));
-  Alcotest.(check int) "both needle parents found" 2 (List.length naive)
-
 (* ---- anchored regex: whole-leaf semantics on both paths ---- *)
 
 let test_regex_anchored () =
@@ -221,9 +195,9 @@ let suite =
       QCheck_alcotest.to_alcotest ~long:true prop_plan_root;
       QCheck_alcotest.to_alcotest prop_plan_root_seeded;
       QCheck_alcotest.to_alcotest ~long:true prop_plan_anywhere;
+      QCheck_alcotest.to_alcotest prop_plan_label_groups;
       Alcotest.test_case "fingerprint pruning" `Quick test_fingerprint_prune;
       Alcotest.test_case "plan cache hits" `Quick test_plan_cache;
       Alcotest.test_case "store mutation coherence" `Quick test_store_mutation;
-      Alcotest.test_case "anchor see-through + fallback" `Quick test_anchor_see_through;
       Alcotest.test_case "anchored regex semantics" `Quick test_regex_anchored;
     ] )

@@ -122,6 +122,17 @@ let test_drop_corrupt_tail () =
     [ 1; 2; 3; 4 ]
     (List.filter_map (function Wal.Advance t -> Some t | _ -> None) rs)
 
+(* ---- frame checksum: the standard CRC-32 check values ---------------- *)
+
+let test_crc32_vectors () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check int32) (Printf.sprintf "crc32 %S" s) want (Wal.crc32 s))
+    [
+      ("", 0l);
+      ("123456789", 0xCBF43926l);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339l);
+    ]
+
 (* ---- corruption corpus pins ----------------------------------------- *)
 
 (* cwd is test/ under `dune runtest`, the workspace root under
@@ -512,6 +523,7 @@ let suite =
       Alcotest.test_case "codec roundtrip" `Quick test_roundtrip;
       Alcotest.test_case "mark/truncate rollback" `Quick test_mark_truncate;
       Alcotest.test_case "drop_corrupt_tail" `Quick test_drop_corrupt_tail;
+      Alcotest.test_case "crc32 standard check values" `Quick test_crc32_vectors;
       Alcotest.test_case "corruption corpus pins" `Quick test_corpus_pins;
       Alcotest.test_case "corpus replay never raises" `Quick test_corpus_replay;
       Alcotest.test_case "store transactions roll back" `Quick test_apply_txn;
