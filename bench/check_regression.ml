@@ -42,6 +42,11 @@
      the rules that observe time, not the rule count — growth beyond
      1.5x the baseline (over a floor of one rule) means advances went
      back to visiting every rule.
+   - the whole-document digest counter ([full_digests]): deterministic
+     for a fixed catalog and change stream, and the query key must
+     follow root-child inserts and deletes in O(change) — growth beyond
+     1.5x the baseline (over a floor of one digest) means every change
+     went back to re-digesting the whole document.
 
    Workload-shape fields (rules/events/nodes/window/...) must match
    exactly: comparing timings of different workloads is meaningless, so
@@ -59,6 +64,7 @@ let floor_candidates = 4.0
 let floor_alpha_evals = 4.0
 let floor_beta_joins = 8.0
 let floor_advanced = 1.0
+let floor_digests = 1.0
 
 let shape_keys =
   [
@@ -91,6 +97,7 @@ let is_candidates_gate key = key = "candidates_per_publish"
 let is_alpha_gate key = key = "alpha_evals_per_event_shared"
 let is_beta_gate key = key = "beta_joins_per_event_shared"
 let is_advance_gate key = key = "rules_advanced_per_advance"
+let is_digest_gate key = key = "full_digests"
 
 let floor_of key = if contains key "us_per_event" then floor_us else floor_ms
 
@@ -162,6 +169,12 @@ and field path key bv cv =
     match (num bv, num cv) with
     | Some b, Some c when c > tol_count *. Float.max b floor_advanced ->
         fail "%s: %.1f rules advanced per advance vs baseline %.1f (advance scaling with rules?)"
+          path c b
+    | _ -> ())
+  else if is_digest_gate key then (
+    match (num bv, num cv) with
+    | Some b, Some c when c > tol_count *. Float.max b floor_digests ->
+        fail "%s: %.0f whole-document digests vs baseline %.0f (digest key re-hashing per change?)"
           path c b
     | _ -> ())
   else walk path bv cv

@@ -3,8 +3,10 @@
     Two notions of identity for monitoring Web data items:
 
     - {b Extensional} identity: an item is identified by its value
-      ({!Term.digest}).  When the value changes, identity is lost — the
-      item can no longer be found.  This is what plain XML/RDF resources
+      ({!Term.equal}; {!Term.digest} is its in-memory hash, equal on
+      equal values, which caches and watches key on but which is never
+      persisted).  When the value changes, identity is lost — the item
+      can no longer be found.  This is what plain XML/RDF resources
       offer.
     - {b Surrogate} identity: an item is identified by an external
       surrogate (an integer oid attached to element nodes), independent

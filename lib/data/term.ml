@@ -108,29 +108,64 @@ and compare_lists xs ys =
 
 let equal a b = compare a b = 0
 
-(* FNV-1a over a canonical byte rendering. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+(* The digest's construction is documented in term.mli.  Every
+   operation below wraps modulo 2^63.  The length prefix makes a
+   sequence of strings hash unambiguously; [mix] is a bijective
+   xor-shift-multiply finaliser.  Summing unordered children is what
+   lets a multiset's digest follow one child at a time (incremental
+   multiset hashing, Clarke et al. 2003). *)
+let fnv_prime = 0x100000001b3
+let fnv_basis = 0x4bf29ce484222325
 
-let digest t =
-  let h = ref fnv_offset in
-  let byte b = h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) fnv_prime in
-  let str s = String.iter (fun c -> byte (Char.code c)) s in
-  let rec go = function
-    | Text s -> byte 1; str s
-    | Num f -> byte 2; str (string_of_float f)
-    | Bool b -> byte 3; byte (if b then 1 else 0)
-    | Elem e ->
-        byte 4;
-        str e.label;
-        byte (match e.ord with Ordered -> 5 | Unordered -> 6);
-        List.iter (fun (k, v) -> byte 7; str k; byte 8; str v) e.attrs;
-        List.iter (fun c -> byte 9; go c)
-          (canonical_children e);
-        byte 10
-  in
-  go t;
+let feed h x = (h lxor x) * fnv_prime
+
+let feed_string h s =
+  let h = ref (feed h (String.length s)) in
+  for i = 0 to String.length s - 1 do
+    h := feed !h (Char.code (String.unsafe_get s i))
+  done;
   !h
+
+let mix h =
+  let h = (h lxor (h lsr 32)) * 0x7f51afd7ed558ccd in
+  let h = (h lxor (h lsr 29)) * 0x44ceb9fe1a85ec53 in
+  h lxor (h lsr 32)
+
+(* All 64 bits of the float, in two halves; [equal] identifies -0. with
+   0. and every NaN with every other one, and so does the digest. *)
+let digest_num f =
+  let b = Int64.bits_of_float (if f = 0. then 0. else if Float.is_nan f then Float.nan else f) in
+  let h = feed (feed fnv_basis 2) (Int64.to_int b land 0xffff_ffff) in
+  mix (feed h (Int64.to_int (Int64.shift_right_logical b 32)))
+
+let header_hash e =
+  let h = feed fnv_basis (match e.ord with Ordered -> 5 | Unordered -> 6) in
+  let h = feed_string h e.label in
+  mix (List.fold_left (fun h (k, v) -> feed_string (feed_string h k) v) h e.attrs)
+
+type multiset_digest = { header : int; sum : int }
+
+let digest_of_multiset m = mix (m.header + m.sum)
+
+let rec digest = function
+  | Text s -> mix (feed_string (feed fnv_basis 1) s)
+  | Num f -> digest_num f
+  | Bool b -> mix (feed (feed fnv_basis 3) (Bool.to_int b))
+  | Elem e -> (
+      match e.ord with
+      | Ordered -> List.fold_left (fun h c -> mix (h + digest c)) (header_hash e) e.children
+      | Unordered -> digest_of_multiset (multiset e))
+
+and multiset e =
+  { header = header_hash e; sum = List.fold_left (fun s c -> s + digest c) 0 e.children }
+
+let multiset_digest = function
+  | Elem ({ ord = Unordered; _ } as e) -> Some (multiset e)
+  | Elem { ord = Ordered; _ } | Text _ | Num _ | Bool _ -> None
+
+let multiset_shift m ~added ~removed =
+  let sum = List.fold_left (fun s c -> s + digest c) m.sum added in
+  { m with sum = List.fold_left (fun s c -> s - digest c) sum removed }
 
 let rec size = function
   | Text _ | Num _ | Bool _ -> 1

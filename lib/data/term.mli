@@ -78,9 +78,49 @@ val compare : t -> t -> int
 (** Total order consistent with [equal] (unordered children are compared
     in canonical order). *)
 
-val digest : t -> int64
-(** FNV-1a digest of the canonical form; collision-improbable value
-    identity for Thesis 10's extensional mode. *)
+val digest : t -> int
+(** Extensional value identity for Thesis 10: [equal a b] implies
+    [digest a = digest b], and unequal terms collide with probability
+    about 2{^-63}.  Callers that find a digest match do not re-check
+    equality: the store's query cache serves a memoized answer on it.
+
+    Construction, on native 63-bit ints (all arithmetic wraps):
+    - strings (texts, labels, attribute keys and values) go through a
+      length-prefixed FNV-1a, which keeps all 63 bits (not
+      [Hashtbl.hash]'s 30);
+    - a number hashes the 64 bits of its float, with [-0.] read as [0.]
+      and every NaN as one NaN, as {!equal} reads them;
+    - every leaf digest and every element header (ordering, label,
+      sorted attributes) passes through a bijective finaliser, so all
+      digests are fully mixed;
+    - [Ordered] children are chained by position: [h := mix (h + digest
+      child)], starting from the header;
+    - [Unordered] children are summed: the element's digest is [mix
+      (header + sum)], where [sum] is the wrapping sum of the children's
+      digests.  No sort, and the sum can follow one child at a time
+      ({!multiset_digest}).
+
+    Surrogate ids are ignored.  Digests are in-memory keys only: they
+    are never persisted, and may change between versions of this
+    library. *)
+
+type multiset_digest
+(** The digest of an [Unordered] element in parts: the hash of its
+    header and the wrapping sum of its children's digests. *)
+
+val multiset_digest : t -> multiset_digest option
+(** [Some] parts of an [Unordered] element (one pass, the cost of
+    {!digest}); [None] for ordered elements and leaves. *)
+
+val multiset_shift : multiset_digest -> added:t list -> removed:t list -> multiset_digest
+(** The parts of the same element with the [added] children inserted
+    and the [removed] ones deleted, at the cost of digesting those
+    children only. *)
+
+val digest_of_multiset : multiset_digest -> int
+(** [digest_of_multiset m] is the {!digest} of the element [m]
+    describes: [digest t = digest_of_multiset (Option.get
+    (multiset_digest t))] for every [Unordered] element. *)
 
 (** {1 Traversal and size} *)
 

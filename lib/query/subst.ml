@@ -63,7 +63,7 @@ let set_single s = [ s ]
    direct sort — fewer allocations. *)
 let hash s =
   M.fold
-    (fun v t acc -> (acc * 31) + Hashtbl.hash v + Int64.to_int (Term.digest t))
+    (fun v t acc -> (acc * 31) + Hashtbl.hash v + Term.digest t)
     s 17
 
 let fingerprint = hash

@@ -6,7 +6,7 @@ open Xchange_obs
 type notification = { doc : string; summary : Term.t }
 
 type watch_state =
-  | Surrogate of { w_doc : string; oid : int; mutable last_digest : int64 }
+  | Surrogate of { w_doc : string; oid : int; mutable last_digest : int }
   | Extensional of { w_doc : string; value : Term.t }
 
 (* The query cache key: the extensional digest of the document version,
@@ -15,7 +15,7 @@ type watch_state =
    byte-for-byte those of a fresh evaluation — optional and negated
    subpatterns make seeded matching irreducible to joining unseeded
    answers.  Stale digests age out of the LRU by themselves. *)
-type query_key = int64 * Qterm.t * (string * int64) list
+type query_key = int * Qterm.t * (string * int) list
 
 module Qcache = Lru.Make (struct
   type t = query_key
@@ -28,17 +28,26 @@ type change = Ch_update of Action.update | Ch_doc of string | Ch_restore
 
 type answerer = seed:Subst.t -> Qterm.t -> Subst.set option
 
+(* The digest of a document version, computed by the first fallback
+   query on it.  An unordered root keeps its digest in parts (header
+   hash and children sum), so a root-child insert or pattern delete
+   updates it by that child's digest instead of dropping it. *)
+type version = Whole of int | Multiset of Term.multiset_digest
+
+let digest_of = function Whole d -> d | Multiset m -> Term.digest_of_multiset m
+
 type t = {
   docs : (string, Term.t) Hashtbl.t;
   graphs : (string, Rdf.graph) Hashtbl.t;
   watches : (int, watch_state) Hashtbl.t;
   mutable next_watch : int;
-  digests : (string, int64) Hashtbl.t;  (** of the current doc version, once queried *)
+  digests : (string, version) Hashtbl.t;  (** of the current doc version, once queried *)
   qcache : Subst.set Qcache.t;
   mutable observers : (change -> unit) list;
   dynamic : (string, answerer) Hashtbl.t;  (** per-doc derived-register answerers *)
   m : Obs.Metrics.t;
   c_dynamic_answers : Obs.Metrics.Counter.t;
+  c_full_digests : Obs.Metrics.Counter.t;
 }
 
 type watch_id = int
@@ -59,6 +68,7 @@ let create ?(cache_capacity = default_cache_capacity) () =
       dynamic = Hashtbl.create 4;
       m;
       c_dynamic_answers = Obs.Metrics.counter m "store.dynamic_answers";
+      c_full_digests = Obs.Metrics.counter m "store.full_digests";
     }
   in
   (* the LRU already counts its own traffic; sample it at snapshot time
@@ -79,10 +89,18 @@ let fire t ch = List.iter (fun f -> f ch) t.observers
 
 let set_dynamic t name answer = Hashtbl.replace t.dynamic name answer
 
-(* Every document mutation drops the digest of the document's version;
-   cached query answers need no eager flush because their keys embed
-   the digest of the version they were computed on. *)
+(* A mutation drops the digest of the document's version, unless it
+   only inserts or deletes children of an unordered root (see
+   [shift_digest]); cached query answers need no eager flush because
+   their keys embed the digest of the version they were computed on. *)
 let forget_digest t name = Hashtbl.remove t.digests name
+
+(* The root gained [added] and lost [removed] children. *)
+let shift_digest t name ~added ~removed =
+  match Hashtbl.find_opt t.digests name with
+  | Some (Multiset m) ->
+      Hashtbl.replace t.digests name (Multiset (Term.multiset_shift m ~added ~removed))
+  | Some (Whole _) | None -> forget_digest t name
 
 let add_doc t name d =
   forget_digest t name;
@@ -134,11 +152,14 @@ let apply_update t (update : Action.update) =
       if n = 0 then Error (Fmt.str "insert: selector matched nothing in %s" name)
       else begin
         Hashtbl.replace t.docs name d';
-        forget_digest t name;
+        (* the empty selector selects the root and nothing else *)
+        if selector = [] then shift_digest t name ~added:[ content ] ~removed:[]
+        else forget_digest t name;
         Ok (n, [ notify name "insert" n ])
       end
   | Action.U_delete { doc = name; selector; pattern } ->
       let* d = get_doc t name in
+      let deleted = ref [] in
       let d', n =
         match pattern with
         | None -> rewrite_selected d selector (fun d path _ -> Path.delete d path)
@@ -151,17 +172,24 @@ let apply_update t (update : Action.update) =
                 let _, doomed =
                   List.fold_left
                     (fun (i, doomed) c ->
-                      (i + 1, if matches c <> [] then (path @ [ i ]) :: doomed else doomed))
+                      (i + 1, if matches c <> [] then (i, c) :: doomed else doomed))
                     (0, []) (Term.children node)
                 in
                 if doomed = [] then None
                 else
-                  List.fold_left
-                    (fun acc p -> match acc with Some d -> Path.delete d p | None -> None)
-                    (Some d) doomed)
+                  let d' =
+                    List.fold_left
+                      (fun acc (i, _) -> Option.bind acc (fun d -> Path.delete d (path @ [ i ])))
+                      (Some d) doomed
+                  in
+                  if Option.is_some d' then deleted := List.map snd doomed @ !deleted;
+                  d')
       in
       Hashtbl.replace t.docs name d';
-      if n > 0 then forget_digest t name;
+      if n > 0 then
+        if selector = [] && Option.is_some pattern then
+          shift_digest t name ~added:[] ~removed:!deleted
+        else forget_digest t name;
       Ok (n, if n = 0 then [] else [ notify name "delete" n ])
   | Action.U_replace { doc = name; selector; content } ->
       let* d = get_doc t name in
@@ -230,18 +258,24 @@ let replace_at t ~doc:name path content =
 let seed_fingerprint seed =
   List.map (fun (v, term) -> (v, Term.digest term)) (Subst.to_list seed)
 
-(* The digest of the document's current version, computed by the first
-   fallback query on that version. *)
-let version_digest t name d =
-  match Hashtbl.find_opt t.digests name with
+let version_digest t name = Option.map digest_of (Hashtbl.find_opt t.digests name)
+
+(* The digest of the document's current version; the first fallback
+   query on a version that no mutation kept it for digests the whole
+   document. *)
+let key_digest t name d =
+  match version_digest t name with
   | Some dg -> dg
   | None ->
-      let dg = Term.digest d in
-      Hashtbl.replace t.digests name dg;
-      dg
+      Obs.Metrics.Counter.incr t.c_full_digests;
+      let v =
+        match Term.multiset_digest d with Some m -> Multiset m | None -> Whole (Term.digest d)
+      in
+      Hashtbl.replace t.digests name v;
+      digest_of v
 
 let query_fallback t name d ~seed q =
-  let key = (version_digest t name d, q, seed_fingerprint seed) in
+  let key = (key_digest t name d, q, seed_fingerprint seed) in
   match Qcache.find t.qcache key with
   | Some answers -> answers
   | None ->
@@ -417,7 +451,7 @@ let poll_watch t id : watch_status =
               | None -> `Lost
               | Some node ->
                   let dg = Term.digest node in
-                  if Int64.equal dg s.last_digest then `Unchanged
+                  if Int.equal dg s.last_digest then `Unchanged
                   else begin
                     s.last_digest <- dg;
                     `Changed node

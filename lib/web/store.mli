@@ -104,25 +104,45 @@ val env : t -> Condition.env
 
     Query answers are memoized in an LRU keyed by
     [(version digest, query, seed fingerprint)].  The version digest is
-    the document's extensional {!Term.digest}, computed by the first
-    query on a version and dropped on every mutation of that document
-    ({!apply}, {!apply_txn}, {!replace_at}, {!add_doc}, {!remove_doc},
-    {!rollback}, {!load_snapshot}).  Repeated conditions and polls over
-    an unchanged document are O(1); entries of stale versions age out by
-    eviction, since their digest can never be looked up again unless an
-    equal document comes back — after a rollback, or after a crash
-    recovery that reloads the same contents, the old entries hit
-    again. *)
+    the document's extensional {!Term.digest}: a hit is served on digest
+    equality, without re-checking the document.  The first query on a
+    version digests the whole document (counted in
+    [store.full_digests]); after that the store keeps the digest up to
+    date or drops it:
+    - it is {e kept} across an {!apply} (also inside {!apply_txn}) of a
+      [U_insert] with the empty selector, and of a [U_delete] with the
+      empty selector and a pattern, when the root is [Unordered]: the
+      root's children sum gains the inserted child's digest or loses
+      each deleted child's ({!Term.multiset_digest}), at the cost of
+      hashing those children only;
+    - it is {e dropped} by every other mutation: other inserts and
+      deletes, replaces, {!replace_at}, {!add_doc}, {!remove_doc},
+      {!rollback} (so also an aborted {!apply_txn}) and
+      {!load_snapshot}.
+    Repeated conditions and polls over an unchanged document are O(1);
+    entries of stale versions age out by eviction, since their digest
+    can never be looked up again unless an equal document comes back —
+    after a rollback, or after a crash recovery that reloads the same
+    contents, the old entries hit again.  Digests live in memory only;
+    snapshots do not carry them. *)
 
 val query : t -> doc:string -> ?seed:Subst.t -> Qterm.t -> Subst.set
 (** All matches of the query anywhere in the named document, exactly as
     [Simulate.matches_anywhere ~seed q] on {!doc}, memoized.  [] when the
     document does not exist. *)
 
+val version_digest : t -> string -> int option
+(** The digest the store holds for the named document's current
+    version: [Some] once a fallback query has computed it and no
+    dropping mutation has happened since, and then equal to
+    [Term.digest] of {!doc}.  Read-only: it never computes a digest. *)
+
 val metrics : t -> Obs.Metrics.t
 (** The store's registry, counting since [create]:
-    [store.dynamic_answers], plus pull cells sampling the query LRU
-    ([store.query_cache_hits], [_misses], [_evictions], [_entries]). *)
+    [store.dynamic_answers], [store.full_digests] (whole-document
+    digests computed for the query key), plus pull cells sampling the
+    query LRU ([store.query_cache_hits], [_misses], [_evictions],
+    [_entries]). *)
 
 (** {1 Snapshots} — the persistent side of a node, as one data term
     (documents and RDF graphs; watches are runtime state and are not

@@ -127,6 +127,101 @@ let term_full_gen : Term.t QCheck.Gen.t =
 
 let term_full_arb = QCheck.make ~print:Term.to_string term_full_gen
 
+(* ---- digest generators -------------------------------------------------
+   [Term.digest] must follow [Term.equal] exactly, so these terms add
+   what [term_gen] leaves out: non-integer floats, both zeros, NaNs of
+   either sign, attributes and surrogate ids.  Small integers keep
+   equal leaves (and so equal multiset sums of raw values) frequent. *)
+
+let float_gen =
+  QCheck.Gen.oneofl [ 0.; -0.; Float.nan; -.Float.nan; 0.1; 1.5; -2.25; 1e300; 1.; 4. ]
+
+let digest_term_gen : Term.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map Term.text small_text;
+        map (fun i -> Term.int i) (int_bound 5);
+        map Term.num float_gen;
+        map Term.bool_ bool;
+      ]
+  in
+  sized_size (int_bound 12) @@ fix (fun self n ->
+      if n <= 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            ( 3,
+              map3
+                (fun label (ord, attrs) (id, children) ->
+                  Term.with_id id (Term.elem ~ord ~attrs label children))
+                small_label (pair ordering attrs_gen)
+                (pair (int_bound 5) (list_size (int_bound 4) (self (n / 2)))) );
+          ])
+
+(* An extensionally equal copy: unordered children shuffled, fresh
+   surrogate ids, zeros and NaNs with either sign. *)
+let rec equal_copy_gen t =
+  let open QCheck.Gen in
+  match t with
+  | Term.Num f when f = 0. || Float.is_nan f ->
+      map (fun neg -> Term.num (if neg then -.f else f)) bool
+  | Term.Elem e ->
+      let* children = flatten_l (List.map equal_copy_gen e.Term.children) in
+      let* children =
+        match e.Term.ord with Term.Unordered -> shuffle_l children | Term.Ordered -> return children
+      in
+      let+ id = int_bound 5 in
+      Term.Elem { e with Term.children; id }
+  | Term.Text _ | Term.Num _ | Term.Bool _ -> return t
+
+(* [t] with its [n]th subterm (pre-order) rewritten by [f]. *)
+let rewrite_nth t n f =
+  let i = ref (-1) in
+  let rec go t =
+    incr i;
+    if !i = n then f t
+    else
+      match t with
+      | Term.Elem e -> Term.Elem { e with Term.children = List.map go e.Term.children }
+      | Term.Text _ | Term.Num _ | Term.Bool _ -> t
+  in
+  go t
+
+(* Pairs that are often equal and often differ by little: a term and
+   an equal copy of itself with one subterm replaced by a random term,
+   or with one element's first child duplicated or dropped; and
+   independent pairs. *)
+let digest_pair_gen =
+  let open QCheck.Gen in
+  let edit t =
+    let* n = int_bound (Term.size t - 1) in
+    let* fresh = digest_term_gen in
+    let+ op = int_bound 3 in
+    rewrite_nth t n (fun sub ->
+        match (op, sub) with
+        | 1, Term.Elem ({ Term.children = c :: _; _ } as e) ->
+            Term.Elem { e with Term.children = c :: e.Term.children }
+        | 2, Term.Elem ({ Term.children = _ :: cs; _ } as e) ->
+            Term.Elem { e with Term.children = cs }
+        | 3, _ -> sub
+        | _ -> fresh)
+  in
+  frequency
+    [
+      (1, pair digest_term_gen digest_term_gen);
+      ( 3,
+        let* a = digest_term_gen in
+        let* b = edit a in
+        let+ b = equal_copy_gen b in
+        (a, b) );
+    ]
+
+let digest_pair_arb =
+  QCheck.make ~print:QCheck.Print.(pair Term.to_string Term.to_string) digest_pair_gen
+
 let label_pat_gen =
   QCheck.Gen.frequency
     [

@@ -301,6 +301,38 @@ let test_accumulator_observes_time () =
   in
   Alcotest.(check bool) "dispatch = full scan" true (interleave_prop case)
 
+(* [Term.equal] identifies 0. with -0. and any NaN with any other, so a
+   join on them fires on the indexed path as on the full scan: the
+   indexed join tables partition by [Subst.hash], that is by
+   [Term.digest]. *)
+let test_join_on_signed_zero_and_nan () =
+  let atom l = Event_query.on ~label:l (Qterm.el l [ Qterm.pos (Qterm.var "X") ]) in
+  let pair =
+    Eca.make ~name:"pair"
+      ~on:(Event_query.within (Event_query.conj [ atom "a"; atom "b" ]) 100)
+      Action.Nop
+  in
+  let firings ~index (x, y) =
+    let engine = Engine.create_exn ~index (Ruleset.make ~rules:[ pair ] "z") in
+    let store, ops = harness () in
+    let env = Store.env store in
+    let feed t l v =
+      (Engine.handle_event engine ~env ~ops
+         (Event.make ~occurred_at:t ~label:l (Term.elem l [ Term.num v ])))
+        .Engine.firings
+    in
+    List.length (feed 1 "a" x @ feed 2 "b" y)
+  in
+  List.iter
+    (fun ((x, y) as values) ->
+      List.iter
+        (fun index ->
+          Alcotest.(check int)
+            (Printf.sprintf "a{%h}, b{%h}, ~index:%b" x y index)
+            1 (firings ~index values))
+        [ false; true ])
+    [ (0., -0.); (Float.nan, -.Float.nan) ]
+
 let prop_interleave =
   QCheck.Test.make ~name:"Engine: dispatch = full scan across events and advances" ~count:500
     (QCheck.make ~print:print_case case_gen)
@@ -314,7 +346,10 @@ let prop_interleave =
    reloading the store's own snapshot, re-adding an equal document),
    whose cached answers are then served again.  After every step the
    cached answer must equal a fresh uncached evaluation of the store's
-   current document. *)
+   current document, and after every mutation the digest the store
+   kept for the query key (if it kept one) must equal a fresh
+   [Term.digest]: root-child inserts and pattern deletes update it
+   instead of dropping it. *)
 let cache_case_gen =
   QCheck.Gen.(
     pair Gen.xml_term_gen
@@ -335,6 +370,14 @@ let cache_prop (doc0, (pool, script)) =
   in
   let check_all () =
     Array.for_all (check ~seed:Subst.empty) pool && check ~seed:seed_x pool.(0)
+  in
+  let check_digest () =
+    let fresh = Term.digest (Option.get (Store.doc store "/d")) in
+    match Store.version_digest store "/d" with
+    | Some kept when kept <> fresh ->
+        QCheck.Test.fail_reportf "kept digest %d, fresh %d of %a" kept fresh Term.pp
+          (Option.get (Store.doc store "/d"))
+    | Some _ | None -> true
   in
   let insert term = Action.U_insert { doc = "/d"; selector = []; at = None; content = term } in
   let mutate tag term =
@@ -383,7 +426,7 @@ let cache_prop (doc0, (pool, script)) =
       | 3 -> check ~seed:seed_x pool.(0)
       | _ ->
           mutate tag term;
-          check_all ())
+          check_digest () && check_all ())
     script
 
 let prop_cache_coherent =
@@ -557,4 +600,6 @@ let suite =
         test_advance_scales_with_clocked_rules;
       Alcotest.test_case "load_ruleset keeps the engine horizon" `Quick
         test_load_ruleset_keeps_horizon;
+      Alcotest.test_case "joins on signed zeros and NaNs fire when indexed" `Quick
+        test_join_on_signed_zero_and_nan;
     ] )

@@ -38,7 +38,7 @@ let test_ids_ignored () =
   let a = Term.elem "a" [ Term.text "x" ] in
   let b = Term.with_id 42 (Term.elem "a" [ Term.text "x" ]) in
   Alcotest.check term "ids extensionally invisible" a b;
-  Alcotest.(check bool) "digest agrees" true (Int64.equal (Term.digest a) (Term.digest b));
+  Alcotest.(check int) "digest agrees" (Term.digest a) (Term.digest b);
   Alcotest.(check int) "id readable" 42 (Term.elem_id b);
   Alcotest.(check int) "strip resets" Term.no_id (Term.elem_id (Term.strip_ids b))
 
@@ -73,17 +73,43 @@ let prop_compare_antisym =
       (c1 = 0 && c2 = 0) || (c1 > 0 && c2 < 0) || (c1 < 0 && c2 > 0))
 
 let prop_digest_consistent =
-  QCheck.Test.make ~name:"equal terms share digest" ~count:200 Gen.term_arb (fun t ->
-      (* rebuild the term with children shuffled where unordered *)
-      let shuffled =
-        Term.map_elements
-          (fun e ->
-            match e.Term.ord with
-            | Term.Unordered -> { e with Term.children = List.rev e.Term.children }
-            | Term.Ordered -> e)
-          t
-      in
-      Term.equal t shuffled && Int64.equal (Term.digest t) (Term.digest shuffled))
+  let copies =
+    QCheck.Gen.(
+      let* t = Gen.digest_term_gen in
+      let+ copy = Gen.equal_copy_gen t in
+      (t, copy))
+  in
+  QCheck.Test.make ~name:"equal terms share digest" ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair Term.to_string Term.to_string) copies)
+    (fun (t, copy) -> Term.equal t copy && Term.digest t = Term.digest copy)
+
+let prop_digest_iff_equal =
+  QCheck.Test.make ~name:"digest equal iff terms equal" ~count:1000 Gen.digest_pair_arb
+    (fun (a, b) -> Term.equal a b = (Term.digest a = Term.digest b))
+
+(* Multisets whose raw values sum alike, or whose members do: a plain
+   sum of unmixed hashes would confuse each pair. *)
+let test_digest_separates () =
+  let set children = Term.elem ~ord:Term.Unordered "s" children in
+  let ints l = set (List.map Term.int l) and texts l = set (List.map Term.text l) in
+  let items = [ Term.elem "item" [ Term.text "x" ]; Term.int 2; Term.text "y" ] in
+  List.iter
+    (fun (name, a, b) ->
+      Alcotest.(check bool) (name ^ ": unequal") false (Term.equal a b);
+      Alcotest.(check bool) (name ^ ": digests differ") false (Term.digest a = Term.digest b))
+    [
+      ("{1, 4} vs {2, 3}", ints [ 1; 4 ], ints [ 2; 3 ]);
+      ("{x, x} vs {y, z}", texts [ "x"; "x" ], texts [ "y"; "z" ]);
+      ("a multiset vs one child duplicated", set items, set (List.hd items :: items));
+    ];
+  List.iter
+    (fun (name, a, b) ->
+      Alcotest.(check bool) (name ^ ": equal") true (Term.equal a b);
+      Alcotest.(check int) (name ^ ": digests equal") (Term.digest a) (Term.digest b))
+    [
+      ("0. vs -0.", Term.num 0., Term.num (-0.));
+      ("nan vs -nan", Term.num Float.nan, Term.num (-.Float.nan));
+    ]
 
 let prop_size_positive =
   QCheck.Test.make ~name:"size >= 1 and >= depth" ~count:200 Gen.term_arb (fun t ->
@@ -105,4 +131,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_compare_antisym;
       QCheck_alcotest.to_alcotest prop_digest_consistent;
       QCheck_alcotest.to_alcotest prop_size_positive;
+      Alcotest.test_case "digest separates multisets with equal raw sums" `Quick
+        test_digest_separates;
+      QCheck_alcotest.to_alcotest prop_digest_iff_equal;
     ] )
