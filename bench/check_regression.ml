@@ -47,6 +47,11 @@
      follow root-child inserts and deletes in O(change) — growth beyond
      1.5x the baseline (over a floor of one digest) means every change
      went back to re-digesting the whole document.
+   - the WAL snapshot volume ([snapshot_bytes]): deterministic for a
+     fixed node and event stream, and a node snapshots only once it has
+     logged one snapshot's bytes since the last — growth beyond 1.5x
+     the baseline (over a 4 KiB floor) means the cadence went back to
+     re-encoding the whole state at a fixed record count.
 
    Workload-shape fields (rules/events/nodes/window/...) must match
    exactly: comparing timings of different workloads is meaningless, so
@@ -65,6 +70,7 @@ let floor_alpha_evals = 4.0
 let floor_beta_joins = 8.0
 let floor_advanced = 1.0
 let floor_digests = 1.0
+let floor_snapshot_bytes = 4096.0
 
 let shape_keys =
   [
@@ -98,6 +104,7 @@ let is_alpha_gate key = key = "alpha_evals_per_event_shared"
 let is_beta_gate key = key = "beta_joins_per_event_shared"
 let is_advance_gate key = key = "rules_advanced_per_advance"
 let is_digest_gate key = key = "full_digests"
+let is_snapshot_gate key = key = "snapshot_bytes"
 
 let floor_of key = if contains key "us_per_event" then floor_us else floor_ms
 
@@ -175,6 +182,12 @@ and field path key bv cv =
     match (num bv, num cv) with
     | Some b, Some c when c > tol_count *. Float.max b floor_digests ->
         fail "%s: %.0f whole-document digests vs baseline %.0f (digest key re-hashing per change?)"
+          path c b
+    | _ -> ())
+  else if is_snapshot_gate key then (
+    match (num bv, num cv) with
+    | Some b, Some c when c > tol_count *. Float.max b floor_snapshot_bytes ->
+        fail "%s: %.0f snapshot bytes vs baseline %.0f (snapshot cadence no longer amortised?)"
           path c b
     | _ -> ())
   else walk path bv cv

@@ -2,8 +2,10 @@
    redo replay throughput, plus end-to-end node recovery (crash + WAL
    replay through the engine).  Before timing, the recovered node is
    asserted identical to its pre-crash self — the differential contract
-   test/test_wal.ml drives in anger.  Prints a table and emits
-   machine-readable BENCH_wal.json (replay_ms / recover_ms are gated by
+   test/test_wal.ml drives in anger.  The node snapshots on its own
+   cadence, so recovery starts from a snapshot plus the suffix logged
+   since.  Prints a table and emits machine-readable BENCH_wal.json
+   (the phase timings and the node's [snapshot_bytes] are gated by
    bench/check_regression.ml).
 
    Under XCHANGE_NO_WAL nodes are amnesic: the codec phases still run
@@ -54,7 +56,7 @@ let counting_rules =
 let run_recovery ~events =
   Event.reset_ids ();
   Message.reset_ids ();
-  let n = node_exn ~snapshot_every:max_int ~host:"a.example" counting_rules in
+  let n = node_exn ~host:"a.example" counting_rules in
   Store.add_doc (Node.store n) "/seen" (Term.elem ~ord:Term.Unordered "seen" []);
   Node.checkpoint n ~at:Clock.origin;
   let net = Network.create () in
@@ -68,6 +70,9 @@ let run_recovery ~events =
   ignore (Network.run_until_quiet net ());
   let doc () = Xml.to_string (Term.strip_ids (Option.get (Store.doc (Node.store n) "/seen"))) in
   let firings0 = Node.firings n and doc0 = doc () in
+  let snapshot_bytes =
+    int_of_float (Obs.Metrics.total (Obs.Metrics.snapshot (Node.metrics n)) "wal.snapshot_bytes")
+  in
   Node.crash n;
   let replayed, ms =
     wall_ms (fun () ->
@@ -83,7 +88,7 @@ let run_recovery ~events =
            firings0);
     if doc () <> doc0 then failwith "wal bench: recovered store differs from pre-crash store"
   end;
-  (replayed, ms)
+  (replayed, ms, snapshot_bytes)
 
 (* ---- JSON emission (hand-rolled; no deps) ---- *)
 
@@ -121,7 +126,7 @@ let run ~smoke () =
   if replayed_updates <> n_records / 2 then
     failwith
       (Printf.sprintf "wal bench: replayed %d of %d mutations" replayed_updates (n_records / 2));
-  let recovered, recover_ms = run_recovery ~events in
+  let recovered, recover_ms, snapshot_bytes = run_recovery ~events in
   Util.print_table
     ~title:
       (Printf.sprintf "%d-record log (%d KiB), %d-event node recovery" n_records (bytes / 1024)
@@ -147,6 +152,7 @@ let run ~smoke () =
         ff "recover_ms" recover_ms;
         fi "updates_replayed" replayed_updates;
         fi "records_recovered" recovered;
+        fi "snapshot_bytes" snapshot_bytes;
         ff "replay_updates_per_sec" (per_sec replayed_updates replay_ms);
         ff "decode_records_per_sec" (per_sec n_records decode_ms);
       ]

@@ -101,23 +101,23 @@ module Trust = Xchange_aaa.Trust
 
 (** Create a node with the {!Meta} rule decoder installed, so that rule
     sets received as [xchange:rules] events are loaded (Thesis 11). *)
-let node ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host ruleset =
-  match Node.create ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host ruleset with
+let node ?horizon ?accept_rules ?accept_updates ?durable ~host ruleset =
+  match Node.create ?horizon ?accept_rules ?accept_updates ?durable ~host ruleset with
   | Error _ as e -> e
   | Ok n ->
       Node.set_rule_decoder n Meta.ruleset_of_term;
       Ok n
 
-let node_exn ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host ruleset =
-  match node ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host ruleset with
+let node_exn ?horizon ?accept_rules ?accept_updates ?durable ~host ruleset =
+  match node ?horizon ?accept_rules ?accept_updates ?durable ~host ruleset with
   | Ok n -> n
   | Error e -> invalid_arg ("Xchange.node: " ^ e)
 
 (** Create a node from surface-syntax program text. *)
-let node_of_program ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host src =
+let node_of_program ?horizon ?accept_rules ?accept_updates ?durable ~host src =
   match Parser.parse_program src with
   | Error e -> Error ("parse error: " ^ e)
-  | Ok ruleset -> node ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host ruleset
+  | Ok ruleset -> node ?horizon ?accept_rules ?accept_updates ?durable ~host ruleset
 
 (** {1 EDSL shorthands} — concise builders used by the examples and
     benches; everything they produce can equally be written in surface

@@ -51,7 +51,6 @@ type t = {
           applied — same idempotence for the update channel, which also
           makes recovery replay safe against in-flight duplicates *)
   wal : Wal.t option;  (** [None]: a volatile node (recovers amnesic) *)
-  snapshot_every : int;
   mutable wal_active : bool;
       (** cleared by {!crash}, restored at the end of {!recover}:
           replayed inputs are already in the log and must not be
@@ -79,8 +78,8 @@ let next_event_id ~lane event_n () =
 let make_engine ~horizon ~lane ~event_n ruleset =
   Engine.create ?horizon ~fresh_event_id:(next_event_id ~lane event_n) ruleset
 
-let create ?horizon ?(accept_rules = false) ?(accept_updates = false) ?(durable = true)
-    ?(snapshot_every = 256) ~host ruleset =
+let create ?horizon ?(accept_rules = false) ?(accept_updates = false) ?(durable = true) ~host
+    ruleset =
   let lane = Event.fresh_origin () in
   let event_n = ref 0 in
   match make_engine ~horizon ~lane ~event_n ruleset with
@@ -111,7 +110,6 @@ let create ?horizon ?(accept_rules = false) ?(accept_updates = false) ?(durable 
           seen_events = Hashtbl.create 64;
           seen_updates = Hashtbl.create 16;
           wal;
-          snapshot_every = max 1 snapshot_every;
           wal_active = wal <> None;
           tail = Istore.Dq.create ();
         }
@@ -120,8 +118,8 @@ let create ?horizon ?(accept_rules = false) ?(accept_updates = false) ?(durable 
       Obs.Metrics.counter_fn m "node.rule_errors" (fun () -> List.length t.errors);
       Ok t
 
-let create_exn ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host ruleset =
-  match create ?horizon ?accept_rules ?accept_updates ?durable ?snapshot_every ~host ruleset with
+let create_exn ?horizon ?accept_rules ?accept_updates ?durable ~host ruleset =
+  match create ?horizon ?accept_rules ?accept_updates ?durable ~host ruleset with
   | Ok t -> t
   | Error e -> invalid_arg ("Node.create: " ^ e)
 
@@ -307,11 +305,11 @@ let load_rules t payload =
 
 (* Build and log a snapshot record of the whole volatile state, then
    compact: everything the snapshot subsumes can go, except reified
-   rule sets (engine structure, not snapshot state). *)
+   rule sets (engine structure, not snapshot state).  A crashed node
+   has no state to fold in until it recovers. *)
 let checkpoint t ~at =
   match t.wal with
-  | None -> ()
-  | Some w ->
+  | Some w when t.wal_active ->
       let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare in
       let snap =
         {
@@ -329,14 +327,12 @@ let checkpoint t ~at =
         }
       in
       Wal.append w (Wal.Snapshot snap);
-      Wal.compact w ~keep:(function
-        | Wal.Event e -> String.equal e.Event.label rules_label
-        | _ -> false)
+      Wal.compact w ~keep:(fun e -> String.equal e.Event.label rules_label)
+  | _ -> ()
 
 let maybe_checkpoint t ~at =
   match t.wal with
-  | Some w when t.wal_active && Wal.records_since_snapshot w >= t.snapshot_every ->
-      checkpoint t ~at
+  | Some w when t.wal_active && Wal.snapshot_due w -> checkpoint t ~at
   | _ -> ()
 
 (* Process an event that is already reception-stamped (and, when the WAL

@@ -30,7 +30,6 @@ val create :
   ?accept_rules:bool ->
   ?accept_updates:bool ->
   ?durable:bool ->
-  ?snapshot_every:int ->
   host:string ->
   Ruleset.t ->
   (t, string) result
@@ -41,17 +40,18 @@ val create :
 
     [durable] (default [true], overridden to [false] by
     [XCHANGE_NO_WAL]) gives the node a write-ahead log: every input is
-    logged before processing and a snapshot of the whole volatile state
-    is folded in every [snapshot_every] records (default 256), so
-    {!crash} followed by {!recover} reconstructs the node exactly.
-    [durable:false] nodes are volatile: they recover amnesic. *)
+    logged before processing, and a snapshot of the whole volatile state
+    is folded in after the first input and then whenever the frames
+    logged since the last snapshot reach its size ({!Wal.snapshot_due}),
+    so {!crash} followed by {!recover} reconstructs the node exactly and
+    snapshot work stays O(1) per logged byte.  [durable:false] nodes are
+    volatile: they recover amnesic. *)
 
 val create_exn :
   ?horizon:Clock.span ->
   ?accept_rules:bool ->
   ?accept_updates:bool ->
   ?durable:bool ->
-  ?snapshot_every:int ->
   host:string ->
   Ruleset.t ->
   t
@@ -145,9 +145,11 @@ val wal : t -> Wal.t option
 val checkpoint : t -> at:Clock.time -> unit
 (** Fold the node's current volatile state into a [Snapshot] record and
     compact the log (reified-rule-set events are kept: they are engine
-    structure, not snapshot state).  Happens automatically every
-    [snapshot_every] records; explicit calls are for harnesses that want
-    a baseline at a known instant.  No-op on volatile nodes. *)
+    structure, not snapshot state).  Happens automatically on the
+    {!Wal.snapshot_due} cadence, and at the end of {!recover}; explicit
+    calls are for harnesses that want a baseline at a known instant,
+    such as the genesis checkpoint after provisioning.  No-op on
+    volatile nodes, and on a crashed node until it recovers. *)
 
 val crash : t -> unit
 (** Kill the node process: store contents, engine state, logs, errors,

@@ -167,23 +167,20 @@ let apply_update t (update : Action.update) =
             (* one plan lookup per delete, not one per child *)
             let matches = Simulate.matcher q in
             rewrite_selected d selector (fun d path node ->
-                (* delete children of the selected node matching q,
-                   last first so earlier indices stay valid *)
-                let _, doomed =
-                  List.fold_left
-                    (fun (i, doomed) c ->
-                      (i + 1, if matches c <> [] then (i, c) :: doomed else doomed))
-                    (0, []) (Term.children node)
-                in
-                if doomed = [] then None
+                (* test each child of the selected node once, then
+                   rebuild the current child list once (a deeper
+                   selected node may already be rewritten): survivors
+                   keep their order and ids *)
+                let kids = Term.children node in
+                let doomed = Array.of_list (List.map (fun c -> matches c <> []) kids) in
+                if not (Array.mem true doomed) then None
                 else
-                  let d' =
-                    List.fold_left
-                      (fun acc (i, _) -> Option.bind acc (fun d -> Path.delete d (path @ [ i ])))
-                      (Some d) doomed
-                  in
-                  if Option.is_some d' then deleted := List.map snd doomed @ !deleted;
-                  d')
+                  match Path.get d path with
+                  | Some (Term.Elem e) ->
+                      deleted := List.filteri (fun i _ -> doomed.(i)) kids @ !deleted;
+                      let survivors = List.filteri (fun i _ -> not doomed.(i)) e.Term.children in
+                      Path.replace d path (Term.Elem { e with Term.children = survivors })
+                  | Some (Term.Text _ | Term.Num _ | Term.Bool _) | None -> None)
       in
       Hashtbl.replace t.docs name d';
       if n > 0 then

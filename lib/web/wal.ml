@@ -551,13 +551,21 @@ let r_record c =
    validated against the remaining bytes, which is what distinguishes a
    torn write from a bit flip in the diagnostics. *)
 
+(* The last [Snapshot] frame: its byte offset, its size (header
+   included) and its index among the frames. *)
+type snap = { off : int; size : int; index : int }
+
 type t = {
   buf : Buffer.t;
   scratch : Buffer.t;
   mutable n_appended : int;
-  mutable n_since_snapshot : int;
+  mutable snap : snap option;
+  mutable readable : bool;
+      (* every byte belongs to a valid frame; only such a log is compacted *)
   c_appends : Obs.Metrics.Counter.t;
+  c_appended_bytes : Obs.Metrics.Counter.t;
   c_snapshots : Obs.Metrics.Counter.t;
+  c_snapshot_bytes : Obs.Metrics.Counter.t;
   c_compactions : Obs.Metrics.Counter.t;
   c_rollbacks : Obs.Metrics.Counter.t;
   c_corrupt : Obs.Metrics.Counter.t;
@@ -567,6 +575,9 @@ type t = {
 let frame_header_bytes = 8
 let max_frame_bytes = 1 lsl 30
 
+(* the payload length in the header of the frame at [pos] *)
+let frame_len s pos = Int32.to_int (String.get_int32_le s pos) land 0xffffffff
+
 let create ?metrics () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
@@ -574,9 +585,12 @@ let create ?metrics () =
       buf = Buffer.create 4096;
       scratch = Buffer.create 512;
       n_appended = 0;
-      n_since_snapshot = 0;
+      snap = None;
+      readable = true;
       c_appends = Obs.Metrics.counter m "wal.appends";
+      c_appended_bytes = Obs.Metrics.counter m "wal.appended_bytes";
       c_snapshots = Obs.Metrics.counter m "wal.snapshots";
+      c_snapshot_bytes = Obs.Metrics.counter m "wal.snapshot_bytes";
       c_compactions = Obs.Metrics.counter m "wal.compactions";
       c_rollbacks = Obs.Metrics.counter m "wal.rollback_truncations";
       c_corrupt = Obs.Metrics.counter m "wal.corrupt_stops";
@@ -589,65 +603,57 @@ let create ?metrics () =
 
 let size_bytes t = Buffer.length t.buf
 let appended t = t.n_appended
-let records_since_snapshot t = t.n_since_snapshot
 
-(* The one frame writer: [r] encoded as [len u32][crc u32][payload] at
-   the end of the log.  The record counts are kept apart ([count]), so a
-   log rewritten or cut to a list of records keeps them the same way. *)
-let write t r =
+let append t r =
   Buffer.clear t.scratch;
   w_record t.scratch r;
   let payload = Buffer.contents t.scratch in
+  let off = Buffer.length t.buf in
   w_u32 t.buf (String.length payload);
   Buffer.add_int32_le t.buf (crc32 payload);
-  Buffer.add_string t.buf payload
-
-let count t r =
-  t.n_appended <- t.n_appended + 1;
-  match r with
-  | Snapshot _ -> t.n_since_snapshot <- 0
-  | Event _ | Remote_update _ | Advance _ | Update _ | Firing _ ->
-      t.n_since_snapshot <- t.n_since_snapshot + 1
-
-(* the counts of a log holding exactly [rs] *)
-let recount t rs =
-  t.n_appended <- 0;
-  t.n_since_snapshot <- 0;
-  List.iter (count t) rs
-
-let append t r =
-  write t r;
-  count t r;
+  Buffer.add_string t.buf payload;
+  let size = Buffer.length t.buf - off in
   Obs.Metrics.Counter.incr t.c_appends;
-  match r with
-  | Snapshot _ -> Obs.Metrics.Counter.incr t.c_snapshots
-  | Event _ | Remote_update _ | Advance _ | Update _ | Firing _ -> ()
+  Obs.Metrics.Counter.incr ~by:size t.c_appended_bytes;
+  (match r with
+  | Snapshot _ ->
+      t.snap <- Some { off; size; index = t.n_appended };
+      Obs.Metrics.Counter.incr t.c_snapshots;
+      Obs.Metrics.Counter.incr ~by:size t.c_snapshot_bytes
+  | Event _ | Remote_update _ | Advance _ | Update _ | Firing _ -> ());
+  t.n_appended <- t.n_appended + 1
 
-type mark = { m_bytes : int; m_records : int; m_since : int }
+let snapshot_due t =
+  match t.snap with
+  | None -> true
+  | Some s -> Buffer.length t.buf - (s.off + s.size) >= s.size
 
-let mark t = { m_bytes = Buffer.length t.buf; m_records = t.n_appended; m_since = t.n_since_snapshot }
+type mark = { m_bytes : int; m_records : int; m_snap : snap option }
+
+let mark t = { m_bytes = Buffer.length t.buf; m_records = t.n_appended; m_snap = t.snap }
 
 let truncate t m =
   if m.m_bytes < Buffer.length t.buf then begin
     Buffer.truncate t.buf m.m_bytes;
     t.n_appended <- m.m_records;
-    t.n_since_snapshot <- m.m_since;
+    t.snap <- m.m_snap;
     Obs.Metrics.Counter.incr t.c_rollbacks
   end
 
 type stop = Clean | Corrupt of string
 
-(* The records of the longest valid prefix, why decoding stopped, and
-   the byte offset where that prefix ends. *)
-let decode_all s =
+(* Fold [f] over the records of the longest valid prefix of [s], each
+   with its frame's byte offset and size; also returns why decoding
+   stopped and the byte offset where that prefix ends. *)
+let fold_frames s ~init f =
   let total = String.length s in
-  let stop acc pos why = (List.rev acc, Corrupt why, pos) in
+  let stop acc pos why = (acc, Corrupt why, pos) in
   let rec go pos acc =
-    if pos = total then (List.rev acc, Clean, pos)
+    if pos = total then (acc, Clean, pos)
     else if pos + frame_header_bytes > total then
       stop acc pos (Fmt.str "truncated tail: %d stray byte(s) after last record" (total - pos))
     else
-      let len = Int32.to_int (String.get_int32_le s pos) land 0xffffffff in
+      let len = frame_len s pos in
       let crc = String.get_int32_le s (pos + 4) in
       if len > max_frame_bytes then
         stop acc pos (Fmt.str "implausible frame length %d (corrupt header)" len)
@@ -663,26 +669,37 @@ let decode_all s =
                 | Decode e -> Error e
                 | Invalid_argument e -> Error e) with
           | Error e -> stop acc pos (Fmt.str "undecodable record: %s" e)
-          | Ok r -> go (pos + frame_header_bytes + len) (r :: acc)
+          | Ok r ->
+              let size = frame_header_bytes + len in
+              go (pos + size) (f acc ~off:pos ~size r)
   in
-  go 0 []
-
-let decode t =
-  let (_, stop, _) as decoded = decode_all (Buffer.contents t.buf) in
-  (match stop with Clean -> () | Corrupt _ -> Obs.Metrics.Counter.incr t.c_corrupt);
-  decoded
+  go 0 init
 
 let records t =
-  let rs, stop, _ = decode t in
-  (rs, stop)
+  let rs, stop, _ =
+    fold_frames (Buffer.contents t.buf) ~init:[] (fun acc ~off:_ ~size:_ r -> r :: acc)
+  in
+  (match stop with Clean -> () | Corrupt _ -> Obs.Metrics.Counter.incr t.c_corrupt);
+  (List.rev rs, stop)
 
 let contents t = Buffer.contents t.buf
+
+(* Re-derive the frame count and the last snapshot from the bytes, as a
+   log loaded from them or cut to their valid prefix must. *)
+let rescan t =
+  let (n, snap), stop, valid_end =
+    fold_frames (Buffer.contents t.buf) ~init:(0, None) (fun (n, snap) ~off ~size r ->
+        (n + 1, match r with Snapshot _ -> Some { off; size; index = n } | _ -> snap))
+  in
+  t.n_appended <- n;
+  t.snap <- snap;
+  (stop, valid_end)
 
 let of_string s =
   let t = create () in
   Buffer.add_string t.buf s;
-  let rs, _, _ = decode_all s in
-  recount t rs;
+  let stop, _ = rescan t in
+  t.readable <- stop = Clean;
   t
 
 let to_file t path =
@@ -704,35 +721,38 @@ let of_file path =
   | Ok s -> Ok (of_string s)
 
 let drop_corrupt_tail t =
-  match decode t with
-  | _, Clean, _ -> ()
-  | rs, Corrupt _, valid_end ->
-      Buffer.truncate t.buf valid_end;
-      recount t rs
+  if not t.readable then begin
+    let stop, valid_end = rescan t in
+    (match stop with Clean -> () | Corrupt _ -> Obs.Metrics.Counter.incr t.c_corrupt);
+    Buffer.truncate t.buf valid_end;
+    t.readable <- true
+  end
 
+(* Copy, frame by frame, the events [keep] pins before the last
+   snapshot, then every byte from that snapshot on.  Only the pinned
+   candidates are decoded: an [Event] frame's payload starts with
+   [w_record]'s tag 1, and the event follows it in place. *)
 let compact t ~keep =
-  match records t with
-  | _, Corrupt _ -> () (* never rewrite a log we cannot fully read *)
-  | rs, Clean ->
-      (* index of the last snapshot, if any *)
-      let last =
-        List.fold_left
-          (fun (i, last) r -> (i + 1, match r with Snapshot _ -> Some i | _ -> last))
-          (0, None) rs
-        |> snd
+  match t.snap with
+  | Some s when t.readable ->
+      let all = Buffer.contents t.buf in
+      Buffer.clear t.buf;
+      let rec pin pos pinned =
+        if pos >= s.off then pinned
+        else
+          let len = frame_len all pos in
+          let p = pos + frame_header_bytes in
+          let kept = Char.code all.[p] = 1 && keep (r_event { s = all; pos = p + 1 }) in
+          if kept then Buffer.add_substring t.buf all pos (frame_header_bytes + len);
+          pin (p + len) (if kept then pinned + 1 else pinned)
       in
-      (match last with
-      | None -> ()
-      | Some cut ->
-          let kept_before =
-            List.filteri (fun i _ -> i < cut) rs |> List.filter keep
-          in
-          let tail = List.filteri (fun i _ -> i >= cut) rs in
-          let kept = kept_before @ tail in
-          Buffer.clear t.buf;
-          List.iter (write t) kept;
-          recount t kept;
-          Obs.Metrics.Counter.incr t.c_compactions)
+      let pinned = pin 0 0 in
+      let off = Buffer.length t.buf in
+      Buffer.add_substring t.buf all s.off (String.length all - s.off);
+      t.n_appended <- pinned + (t.n_appended - s.index);
+      t.snap <- Some { s with off; index = pinned };
+      Obs.Metrics.Counter.incr t.c_compactions
+  | Some _ | None -> () (* nothing to cut, or a log we cannot fully read: never rewrite it *)
 
 let replay_store t store =
   let rs, _stop = records t in

@@ -6,10 +6,15 @@
     events (including reified rule sets, Thesis 11), accepted remote
     updates, engine-clock advances — plus an audit stream of applied
     store mutations and rule firings, in a length-prefixed, checksummed
-    binary format.  Periodic {!record.Snapshot} records embed the whole
-    recovery baseline: the store snapshot, the node's id-lane counters,
-    the dedup set, and the engine's recent input tail (what is needed to
-    re-prime composite-event state within the horizon).
+    binary format.  {!record.Snapshot} records embed the whole recovery
+    baseline: the store snapshot, the node's id-lane counters, the dedup
+    set, and the engine's recent input tail (what is needed to re-prime
+    composite-event state within the horizon).
+
+    {b Cost proportional to change.}  The owner snapshots on the
+    {!snapshot_due} cadence and {!compact} copies frames, so durability
+    costs O(1) per logged byte and the log holds little more than twice
+    its last snapshot.
 
     The log is an append-only byte device held in memory (the simulated
     Web has no disk), exposed as bytes ({!contents} / {!of_string} /
@@ -66,18 +71,23 @@ type t
 
 val create : ?metrics:Obs.Metrics.t -> unit -> t
 (** An empty log.  [metrics] registers the [wal.*] cells (appends,
-    bytes, snapshots, compactions, replayed records, corrupt stops) in
-    the given registry — typically the owning node's. *)
+    appended_bytes, snapshots, snapshot_bytes, compactions, rollback
+    truncations, replayed updates, corrupt stops; the gauges bytes and
+    records) in the given registry — typically the owning node's.  The
+    two byte counters count whole frames as appended and never fall. *)
 
 val append : t -> record -> unit
 
 val size_bytes : t -> int
 val appended : t -> int
-(** Frames appended (or decoded valid, for logs loaded from bytes). *)
+(** Frames in the log (decoded valid, for logs loaded from bytes). *)
 
-val records_since_snapshot : t -> int
-(** Appends since the last [Snapshot] frame — drives the owner's
-    snapshot cadence. *)
+val snapshot_due : t -> bool
+(** The snapshot cadence: [true] once the frames after the last
+    [Snapshot] frame take at least as many bytes as that frame, or when
+    the log has none.  There is no constant: a node whose state is large
+    snapshots rarely, one that logs much snapshots often, and snapshot
+    bytes stay within the other bytes logged plus the last snapshot's. *)
 
 type mark
 (** A position in the log.  {!truncate} drops everything appended after
@@ -98,15 +108,22 @@ val records : t -> record list * stop
 (** Decode from the start; never raises. *)
 
 val drop_corrupt_tail : t -> unit
-(** Rewrite the log as its longest valid prefix.  Recovery calls this
+(** Cut the log to its longest valid prefix.  Recovery calls this
     before appending again: new frames written after garbage bytes
-    would be unreachable to every future replay. *)
+    would be unreachable to every future replay.  No effect on a log
+    whose every byte is valid, which a log built by {!append} is. *)
 
-val compact : t -> keep:(record -> bool) -> unit
-(** Drop every record preceding the last [Snapshot], except those
-    [keep] selects (the node keeps reified-rule-set events: loaded
-    rules are engine structure, not snapshot state).  Kept records
-    retain their order before the snapshot.  No snapshot, no effect. *)
+val compact : t -> keep:(Event.t -> bool) -> unit
+(** Drop every record preceding the last [Snapshot], except the [Event]
+    records [keep] selects (the node keeps reified-rule-set events:
+    loaded rules are engine structure, not snapshot state).  Kept frames
+    retain their order before the snapshot.  Frames are copied verbatim
+    — header, checksum and payload — so the result is byte-identical to
+    decoding the log, filtering it and re-appending what is kept, but
+    only the [Event] frames before the snapshot are decoded, and the
+    snapshot never is.  No snapshot, no effect; nor on a log loaded from
+    bytes with a corrupt tail, until {!drop_corrupt_tail} has run: a log
+    that cannot be fully read is never rewritten. *)
 
 val contents : t -> string
 val of_string : string -> t

@@ -348,7 +348,7 @@ let canon_doc t =
 let run_beta_crash ~crash () =
   Event.reset_ids ();
   Message.reset_ids ();
-  let n = node_exn ~snapshot_every:3 ~host:"a.example" beta_wal_rules in
+  let n = node_exn ~host:"a.example" beta_wal_rules in
   Store.add_doc (Node.store n) "/pairs" (Term.elem ~ord:Term.Unordered "pairs" []);
   Node.checkpoint n ~at:Clock.origin;
   let net = Network.create () in
@@ -356,22 +356,34 @@ let run_beta_crash ~crash () =
   (match crash with
   | None -> ()
   | Some (at, recover_at) -> Network.schedule_crash net ~host:"a.example" ~at ~recover_at ());
+  (* snapshots the node took on its own before the crash (the genesis
+     checkpoint aside), read at the last tick before it *)
+  let automatic = ref 0 in
   for i = 1 to 8 do
     Network.run net ~until:(i * 10);
+    (match crash with
+    | Some (at, _) when i * 10 < at ->
+        automatic :=
+          int_of_float (Obs.Metrics.total (Obs.Metrics.snapshot (Node.metrics n)) "wal.snapshots")
+          - 1
+    | _ -> ());
     Network.inject net ~to_:"a.example"
       ~label:(if i mod 2 = 1 then "a" else "b")
       (Term.elem "v" [ Term.int i ])
   done;
   ignore (Network.run_until_quiet net ());
-  (Node.firings n, canon_doc (Option.get (Store.doc (Node.store n) "/pairs")))
+  (Node.firings n, canon_doc (Option.get (Store.doc (Node.store n) "/pairs")), !automatic)
 
 let test_crash_recover_identity () =
   if Escape.no_wal then () (* amnesic hatch: nothing to recover from *)
   else begin
-    let f0, d0 = run_beta_crash ~crash:None () in
+    let f0, d0, _ = run_beta_crash ~crash:None () in
     (* the crash lands mid-stream: join state built before it must be
        re-primed from WAL replay for the post-recovery pairs to fire *)
-    let f1, d1 = run_beta_crash ~crash:(Some (35, 55)) () in
+    let f1, d1, automatic = run_beta_crash ~crash:(Some (35, 55)) () in
+    Alcotest.(check bool)
+      (Fmt.str "automatic snapshots before the crash (%d)" automatic)
+      true (automatic >= 1);
     Alcotest.(check int) "firings converge" f0 f1;
     Alcotest.(check string) "stores converge" d0 d1;
     Alcotest.(check bool) "pairs actually fired" true (f0 > 0)

@@ -49,6 +49,43 @@ let test_delete_pattern () =
   Alcotest.(check int) "one article left" 1
     (List.length (Term.children (Option.get (Store.doc s "/news"))))
 
+(* one pattern delete removes several children: the survivors keep
+   their order and surrogate ids, the kept digest follows the deleted
+   children, and a nested selection keeps its deeper deletions *)
+let test_delete_pattern_many () =
+  let s = Store.create () in
+  let item k = Term.elem "item" [ Term.elem (if k mod 3 = 0 then "gone" else "kept") []; Term.int k ] in
+  Store.add_doc s "/items" (Term.elem ~ord:Term.Unordered "items" (List.init 10 item));
+  ignore (Store.query s ~doc:"/items" (Qterm.var "X")) (* computes the version digest *);
+  let ids_of doc ks =
+    List.filter_map
+      (fun c -> if List.mem (Term.children c |> List.rev |> List.hd) ks then Some (Term.elem_id c) else None)
+      (Term.children doc)
+  in
+  let survivors = List.map Term.int [ 1; 2; 4; 5; 7; 8 ] in
+  let ids0 = ids_of (Option.get (Store.doc s "/items")) survivors in
+  let gone = Qterm.el "item" [ Qterm.pos (Qterm.el "gone" []) ] in
+  let n, _ = apply s (Action.U_delete { doc = "/items"; selector = []; pattern = Some gone }) in
+  Alcotest.(check int) "one selected node rewritten" 1 n;
+  let doc = Option.get (Store.doc s "/items") in
+  Alcotest.(check (list term)) "survivors in order"
+    (List.map (fun k -> Term.strip_ids (item k)) [ 1; 2; 4; 5; 7; 8 ])
+    (List.map Term.strip_ids (Term.children doc));
+  Alcotest.(check (list int)) "survivor ids kept" ids0 (ids_of doc survivors);
+  Alcotest.(check (option int)) "kept digest follows the deletes" (Some (Term.digest doc))
+    (Store.version_digest s "/items");
+  let box kids = Term.elem "box" kids in
+  let x = Term.elem "x" [] and y = Term.elem "y" [] in
+  Store.add_doc s "/boxes" (Term.elem "root" [ box [ x; box [ x; y; x ]; x; y ] ]);
+  let sel = Result.get_ok (Path.parse_selector "//box") in
+  let n, _ =
+    apply s (Action.U_delete { doc = "/boxes"; selector = sel; pattern = Some (Qterm.el "x" []) })
+  in
+  Alcotest.(check int) "both boxes rewritten" 2 n;
+  Alcotest.(check term) "nested deletions kept"
+    (Term.elem "root" [ box [ box [ y ]; y ] ])
+    (Term.strip_ids (Option.get (Store.doc s "/boxes")))
+
 let test_replace_keeps_surrogate_identity () =
   let s = fresh_store () in
   let doc = Option.get (Store.doc s "/news") in
@@ -152,6 +189,7 @@ let suite =
       Alcotest.test_case "insert + notification" `Quick test_insert_notification;
       Alcotest.test_case "insert into missing doc fails" `Quick test_insert_missing_doc;
       Alcotest.test_case "delete by pattern" `Quick test_delete_pattern;
+      Alcotest.test_case "delete several children at once" `Quick test_delete_pattern_many;
       Alcotest.test_case "replace preserves surrogate identity" `Quick test_replace_keeps_surrogate_identity;
       Alcotest.test_case "RDF assert/retract" `Quick test_rdf_updates;
       Alcotest.test_case "query environment" `Quick test_env;

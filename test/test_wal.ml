@@ -122,6 +122,158 @@ let test_drop_corrupt_tail () =
     [ 1; 2; 3; 4 ]
     (List.filter_map (function Wal.Advance t -> Some t | _ -> None) rs)
 
+(* ---- compaction: frame copies against decode-filter-re-append ------- *)
+
+let pinned (e : Event.t) = String.equal e.Event.label Node.rules_label
+
+(* The reference compaction: decode the whole log, keep the pinned
+   events before the last snapshot and everything from it on, and
+   re-append them to a fresh log.  A log that cannot be fully read, or
+   has no snapshot, stays as it is. *)
+let oracle_compact w ~keep =
+  match Wal.records w with
+  | _, Wal.Corrupt _ -> w
+  | rs, Wal.Clean -> (
+      let _, last =
+        List.fold_left
+          (fun (i, last) r -> (i + 1, match r with Wal.Snapshot _ -> Some i | _ -> last))
+          (0, None) rs
+      in
+      match last with
+      | None -> w
+      | Some cut ->
+          let kept =
+            List.filteri
+              (fun i r -> i >= cut || match r with Wal.Event e -> keep e | _ -> false)
+              rs
+          in
+          let fresh = Wal.create () in
+          List.iter (Wal.append fresh) kept;
+          fresh)
+
+type log_op = Append of Wal.record | Mark | Truncate | Compact
+
+let record_gen =
+  let open QCheck.Gen in
+  let small_term =
+    map2 (fun l k -> Term.elem l [ Term.int k ]) (oneofl [ "p"; "q"; "row" ]) (int_bound 99)
+  in
+  let event =
+    map3
+      (fun label id payload ->
+        Wal.Event
+          (Event.make ~id ~sender:"s.example" ~recipient:"a.example" ~received_at:(id + 2)
+             ~occurred_at:id ~label payload))
+      (oneofl [ Node.rules_label; "ping"; "order" ])
+      (int_range 1 10_000) small_term
+  in
+  let snapshot =
+    map3
+      (fun at store (seen, logs) ->
+        Wal.Snapshot
+          {
+            Wal.s_at = at;
+            s_store = Term.elem "store" (List.map (fun k -> Term.elem "d" [ Term.int k ]) store);
+            s_event_n = at;
+            s_msg_n = 1;
+            s_req_n = 0;
+            s_firings = List.length logs;
+            s_seen = seen;
+            s_seen_updates = [ ("s.example", at) ];
+            s_logs = logs;
+            s_errors = [];
+            s_tail = [ Wal.T_advance at ];
+          })
+      (int_bound 1000)
+      (list_size (int_bound 40) (int_bound 999))
+      (pair (list_size (int_bound 8) (int_bound 999)) (list_size (int_bound 4) (oneofl [ "x"; "yy" ])))
+  in
+  frequency
+    [
+      (4, event);
+      ( 2,
+        map
+          (fun content ->
+            Wal.Update (Action.U_insert { doc = "/seen"; selector = []; at = None; content }))
+          small_term );
+      (2, map (fun at -> Wal.Firing { rule = "count"; at }) (int_bound 1000));
+      (1, map (fun at -> Wal.Advance at) (int_bound 1000));
+      (1, snapshot);
+    ]
+
+let log_ops_arb =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun ops -> Fmt.str "%d op(s)" (List.length ops))
+    (list_size (int_range 1 60)
+       (frequency
+          [
+            (12, map (fun r -> Append r) record_gen);
+            (1, return Mark);
+            (1, return Truncate);
+            (2, return Compact);
+          ]))
+
+(* Drive the log and the reference side by side; after every step the
+   bytes, the frame counts and the cadence must agree, and a reload of
+   the bytes must agree with both.  A mark does not outlive a
+   compaction, which moves every frame. *)
+let test_compact_oracle =
+  QCheck.Test.make ~count:1000 ~name:"compaction copies frames as decode-filter-re-append would"
+    log_ops_arb (fun ops ->
+      let w = Wal.create () in
+      let o = ref (Wal.create ()) in
+      let marks = ref None in
+      List.iter
+        (fun op ->
+          (match op with
+          | Append r ->
+              Wal.append w r;
+              Wal.append !o r
+          | Mark -> marks := Some (Wal.mark w, Wal.mark !o)
+          | Truncate -> (
+              match !marks with
+              | Some (m, m') ->
+                  Wal.truncate w m;
+                  Wal.truncate !o m'
+              | None -> ())
+          | Compact ->
+              Wal.compact w ~keep:pinned;
+              o := oracle_compact !o ~keep:pinned;
+              marks := None);
+          let reloaded = Wal.of_string (Wal.contents w) in
+          if Wal.contents w <> Wal.contents !o then QCheck.Test.fail_report "bytes differ";
+          if Wal.appended w <> Wal.appended !o || Wal.appended w <> Wal.appended reloaded then
+            QCheck.Test.fail_reportf "frame counts differ: %d, reference %d, reloaded %d"
+              (Wal.appended w) (Wal.appended !o) (Wal.appended reloaded);
+          if
+            Wal.snapshot_due w <> Wal.snapshot_due !o
+            || Wal.snapshot_due w <> Wal.snapshot_due reloaded
+          then QCheck.Test.fail_report "cadence differs")
+        ops;
+      true)
+
+(* a log loaded with a garbage tail is never rewritten — appends keep it
+   so — until its corrupt tail is dropped *)
+let test_compact_refuses_corrupt () =
+  let w = Wal.create () in
+  List.iter (Wal.append w) (sample_records ());
+  Wal.append w (Wal.Advance 50);
+  let garbled = Wal.of_string (Wal.contents w ^ "\xde\xad\xbe") in
+  Wal.append garbled (Wal.Advance 60);
+  let before = Wal.contents garbled in
+  Wal.compact garbled ~keep:pinned;
+  Alcotest.(check bool) "corrupt log left as it is" true (Wal.contents garbled = before);
+  Wal.drop_corrupt_tail garbled;
+  Alcotest.(check bool) "valid prefix kept" true (Wal.contents garbled = Wal.contents w);
+  Wal.compact garbled ~keep:pinned;
+  let rs, stop = Wal.records garbled in
+  Alcotest.(check bool) "clean" true (is_clean stop);
+  Alcotest.(check int) "cut at the snapshot" 2 (List.length rs);
+  Alcotest.(check int) "frame count follows" 2 (Wal.appended garbled);
+  Alcotest.(check bool) "snapshot first" true
+    (match rs with Wal.Snapshot _ :: _ -> true | _ -> false)
+
 (* ---- frame checksum: the standard CRC-32 check values ---------------- *)
 
 let test_crc32_vectors () =
@@ -310,12 +462,15 @@ let counting_rules =
       ]
     "counting"
 
+let snapshots n =
+  int_of_float (Obs.Metrics.total (Obs.Metrics.snapshot (Node.metrics n)) "wal.snapshots")
+
 let test_node_recover_identity () =
   if Escape.no_wal then () (* amnesic hatch: nothing to recover from *)
   else begin
     Event.reset_ids ();
     Message.reset_ids ();
-    let n = node_exn ~snapshot_every:3 ~host:"a.example" counting_rules in
+    let n = node_exn ~host:"a.example" counting_rules in
     Store.add_doc (Node.store n) "/seen" (Term.elem ~ord:Term.Unordered "seen" []);
     Node.checkpoint n ~at:Clock.origin (* genesis: provisioned docs predate the log *);
     let net = Network.create () in
@@ -328,6 +483,7 @@ let test_node_recover_identity () =
     let doc () = Xml.to_string (Term.strip_ids (Option.get (Store.doc (Node.store n) "/seen"))) in
     let before = (Node.firings n, Node.logs n, doc ()) in
     Alcotest.(check bool) "wal live" true (Node.wal n <> None);
+    Alcotest.(check bool) "automatic snapshots before the crash" true (snapshots n > 1);
     Node.crash n;
     Alcotest.(check int) "crash wipes volatile state" 0 (Node.firings n);
     Alcotest.(check (list string)) "crash wipes logs" [] (Node.logs n);
@@ -345,6 +501,51 @@ let test_node_recover_identity () =
     ignore (Node.receive_event n (Network.context_for net n) ev);
     ignore (Node.receive_event n (Network.context_for net n) ev);
     Alcotest.(check int) "second delivery deduplicated" (dups0 + 1) (Node.duplicate_events n)
+  end
+
+(* ---- snapshot cost bound -------------------------------------------- *)
+
+(* The cadence snapshots once the frames logged since the last snapshot
+   reach its size, so every snapshot but the last is paid for by as
+   many bytes of other frames: snapshot bytes stay within the rest of
+   the log plus the last snapshot, however long the node runs. *)
+let test_snapshot_cost_bound () =
+  if Escape.no_wal then ()
+  else begin
+    Event.reset_ids ();
+    Message.reset_ids ();
+    let n = node_exn ~host:"a.example" counting_rules in
+    Store.add_doc (Node.store n) "/seen" (Term.elem ~ord:Term.Unordered "seen" []);
+    Node.checkpoint n ~at:Clock.origin;
+    let net = Network.create () in
+    Network.add_node_exn net n;
+    for i = 1 to 600 do
+      Network.run net ~until:(i * 10);
+      for j = 1 to 10 do
+        Network.inject net ~to_:"a.example" ~label:"ping" (Term.elem "p" [ Term.int ((10 * i) + j) ])
+      done
+    done;
+    ignore (Network.run_until_quiet net ());
+    Alcotest.(check int) "every event fired" 6000 (Node.firings n);
+    let total = Obs.Metrics.total (Obs.Metrics.snapshot (Node.metrics n)) in
+    let snapshot_bytes = total "wal.snapshot_bytes" and appended = total "wal.appended_bytes" in
+    let last =
+      match
+        List.find_opt
+          (function Wal.Snapshot _ -> true | _ -> false)
+          (List.rev (fst (Wal.records (Option.get (Node.wal n)))))
+      with
+      | Some r ->
+          let w = Wal.create () in
+          Wal.append w r;
+          float_of_int (Wal.size_bytes w)
+      | None -> Alcotest.fail "no snapshot in the log"
+    in
+    Alcotest.(check bool)
+      (Fmt.str "snapshot bytes %.0f <= other bytes %.0f + last snapshot %.0f" snapshot_bytes
+         (appended -. snapshot_bytes) last)
+      true
+      (snapshot_bytes <= appended -. snapshot_bytes +. last)
   end
 
 (* ---- crash-injection differential ----------------------------------- *)
@@ -436,7 +637,11 @@ let check_identical label (a : obs) (b : obs) =
     a.o_hosts b.o_hosts;
   Alcotest.(check (list (pair string string))) (label ^ ": stores") a.o_stores b.o_stores
 
-let run_crash_scenario ~domains ~faulty ~crash () =
+(* [checkpoints]: ticks after which every live node also checkpoints,
+   so recovery starts from other snapshot/suffix splits.  Returns the
+   victim's automatic snapshots seen before its crash (the last tick
+   read before it), besides the observation and the crash counts. *)
+let run_crash_scenario ?(checkpoints = []) ~domains ~faulty ~crash () =
   Event.reset_ids ();
   Message.reset_ids ();
   let faults =
@@ -446,7 +651,7 @@ let run_crash_scenario ~domains ~faulty ~crash () =
   in
   let net = Network.create ~faults ~domains () in
   let mk host prog extra =
-    match node_of_program ?accept_updates:extra ~snapshot_every:4 ~host prog with
+    match node_of_program ?accept_updates:extra ~host prog with
     | Ok n -> n
     | Error e -> Alcotest.fail (host ^ ": " ^ e)
   in
@@ -458,34 +663,48 @@ let run_crash_scenario ~domains ~faulty ~crash () =
   Store.add_doc (Node.store mid) "/pairs" (Term.elem ~ord:Term.Unordered "pairs" []);
   Store.add_doc (Node.store sink) "/mirror" (Term.elem ~ord:Term.Unordered "mirror" []);
   Store.add_doc (Node.store sink) "/seen" (Term.elem ~ord:Term.Unordered "seen" []);
+  let nodes = [ src; mid; sink ] in
   (* genesis checkpoints: out-of-band provisioning predates the log *)
-  List.iter (fun n -> Node.checkpoint n ~at:Clock.origin) [ src; mid; sink ];
-  List.iter (Network.add_node_exn net) [ src; mid; sink ];
+  List.iter (fun n -> Node.checkpoint n ~at:Clock.origin) nodes;
+  List.iter (Network.add_node_exn net) nodes;
   (match crash with
   | None -> ()
   | Some (host, at, recover_at) -> Network.schedule_crash net ~host ~at ~recover_at ());
+  let taken = ref 1 (* the genesis checkpoint *) and automatic = ref 0 in
   for i = 1 to 12 do
     Network.run net ~until:(i * 10);
+    (match crash with
+    | Some (host, at, _) when i * 10 < at ->
+        automatic := snapshots (List.find (fun n -> Node.host n = host) nodes) - !taken
+    | _ -> ());
+    if List.mem i checkpoints then begin
+      List.iter (fun n -> Node.checkpoint n ~at:(Network.clock net)) nodes;
+      incr taken
+    end;
     Network.inject net ~to_:"src.example" ~label:"tick"
       (Term.elem "tick" [ Term.elem "value" [ Term.num (float_of_int i) ] ])
   done;
   ignore (Network.run_until_quiet net ());
-  (observe net [ src; mid; sink ], Network.crashes net, Network.recoveries net)
+  (observe net nodes, Network.crashes net, Network.recoveries net, !automatic)
 
 let test_crash_differential ~faulty ~victim () =
   let crash = Some (victim, 57, 83) in
   (* crashed sequential vs crashed sharded: bit-identical *)
-  let seq, c1, r1 = run_crash_scenario ~domains:1 ~faulty ~crash () in
+  let seq, c1, r1, automatic = run_crash_scenario ~domains:1 ~faulty ~crash () in
   Alcotest.(check int) "one crash" 1 c1;
   Alcotest.(check int) "one recovery" 1 r1;
-  let par, _, _ = run_crash_scenario ~domains:4 ~faulty ~crash () in
+  if not Escape.no_wal then
+    Alcotest.(check bool)
+      (Fmt.str "automatic snapshots before the crash (%d)" automatic)
+      true (automatic >= 1);
+  let par, _, _, _ = run_crash_scenario ~domains:4 ~faulty ~crash () in
   check_identical (victim ^ " domains=4") seq par;
   (* crashed vs the uninterrupted oracle: converged — only meaningful
      when the WAL is live; under XCHANGE_NO_WAL the same schedule
      exercises amnesic reboot (no convergence claim, but no wreckage
      either: the runs above must already have completed cleanly) *)
   if not Escape.no_wal then begin
-    let oracle, c0, _ = run_crash_scenario ~domains:1 ~faulty ~crash:None () in
+    let oracle, c0, _, _ = run_crash_scenario ~domains:1 ~faulty ~crash:None () in
     Alcotest.(check int) "oracle saw no crash" 0 c0;
     check_converged (victim ^ " vs oracle") oracle seq
   end
@@ -498,21 +717,24 @@ let test_crash_mid_faulty () = test_crash_differential ~faulty:true ~victim:"mid
 let test_crash_sink_clean () = test_crash_differential ~faulty:false ~victim:"sink.example" ()
 let test_crash_sink_faulty () = test_crash_differential ~faulty:true ~victim:"sink.example" ()
 
-(* property: convergence holds for *arbitrary* crash/recovery instants,
-   not just the hand-picked ones above *)
+(* property: convergence holds for *arbitrary* crash/recovery instants
+   and checkpoint schedules, not just the hand-picked ones above *)
 let crash_times_arb =
   QCheck.make
-    ~print:(fun (a, d) -> Fmt.str "crash_at=%d recover_after=%d" a d)
-    QCheck.Gen.(pair (int_range 5 110) (int_range 3 50))
+    ~print:(fun (a, d, cps) ->
+      Fmt.str "crash_at=%d recover_after=%d checkpoints=[%a]" a d Fmt.(list ~sep:semi int) cps)
+    QCheck.Gen.(triple (int_range 5 110) (int_range 3 50) (list_size (int_bound 4) (int_range 1 12)))
 
 let test_crash_property =
   QCheck.Test.make ~count:6 ~name:"recovery converges for arbitrary crash times" crash_times_arb
-    (fun (at, delta) ->
+    (fun (at, delta, checkpoints) ->
       if Escape.no_wal then true
       else begin
         let crash = Some ("mid.example", at, at + delta) in
-        let crashed, c, r = run_crash_scenario ~domains:1 ~faulty:false ~crash () in
-        let oracle, _, _ = run_crash_scenario ~domains:1 ~faulty:false ~crash:None () in
+        let crashed, c, r, _ = run_crash_scenario ~checkpoints ~domains:1 ~faulty:false ~crash () in
+        let oracle, _, _, _ =
+          run_crash_scenario ~checkpoints ~domains:1 ~faulty:false ~crash:None ()
+        in
         check_converged (Fmt.str "crash@%d+%d" at delta) oracle crashed;
         c = 1 && r = 1
       end)
@@ -523,6 +745,9 @@ let suite =
       Alcotest.test_case "codec roundtrip" `Quick test_roundtrip;
       Alcotest.test_case "mark/truncate rollback" `Quick test_mark_truncate;
       Alcotest.test_case "drop_corrupt_tail" `Quick test_drop_corrupt_tail;
+      QCheck_alcotest.to_alcotest test_compact_oracle;
+      Alcotest.test_case "corrupt log not compacted until its tail is dropped" `Quick
+        test_compact_refuses_corrupt;
       Alcotest.test_case "crc32 standard check values" `Quick test_crc32_vectors;
       Alcotest.test_case "corruption corpus pins" `Quick test_corpus_pins;
       Alcotest.test_case "corpus replay never raises" `Quick test_corpus_replay;
@@ -530,6 +755,7 @@ let suite =
       Alcotest.test_case "static cross-node atomic rejected" `Quick test_static_cross_node_atomic;
       Alcotest.test_case "runtime cross-node atomic rolls back" `Quick test_runtime_cross_node_atomic;
       Alcotest.test_case "crash/recover restores the node exactly" `Quick test_node_recover_identity;
+      Alcotest.test_case "snapshot bytes bounded by logged bytes" `Quick test_snapshot_cost_bound;
       Alcotest.test_case "crash differential: worker (clean)" `Quick test_crash_mid_clean;
       Alcotest.test_case "crash differential: worker (faulty)" `Quick test_crash_mid_faulty;
       Alcotest.test_case "crash differential: sink (clean)" `Quick test_crash_sink_clean;
