@@ -37,6 +37,13 @@
      track distinct composite subtrees, not subscribing rules; growth
      beyond 1.5x the baseline (over a small floor) means composite
      join state stopped being shared.
+   - the dispatch work counter ([rules_fed_per_event_shared]):
+     deterministic for a fixed ruleset and stream, and a rule whose
+     whole event query is one shared beta node is fed only when that
+     node detects something, so the count tracks firings, not
+     subscribing rules — growth beyond 1.5x the baseline (over a floor
+     of one rule) means dispatch went back to feeding every subscriber
+     of a reached node.
    - the clock-advance work counter ([rules_advanced_per_advance]):
      deterministic for a fixed ruleset, and an advance must touch only
      the rules that observe time, not the rule count — growth beyond
@@ -69,6 +76,7 @@ let floor_candidates = 4.0
 let floor_alpha_evals = 4.0
 let floor_beta_joins = 8.0
 let floor_advanced = 1.0
+let floor_fed = 1.0
 let floor_digests = 1.0
 let floor_snapshot_bytes = 4096.0
 
@@ -103,6 +111,7 @@ let is_candidates_gate key = key = "candidates_per_publish"
 let is_alpha_gate key = key = "alpha_evals_per_event_shared"
 let is_beta_gate key = key = "beta_joins_per_event_shared"
 let is_advance_gate key = key = "rules_advanced_per_advance"
+let is_fed_gate key = key = "rules_fed_per_event_shared"
 let is_digest_gate key = key = "full_digests"
 let is_snapshot_gate key = key = "snapshot_bytes"
 
@@ -176,6 +185,12 @@ and field path key bv cv =
     match (num bv, num cv) with
     | Some b, Some c when c > tol_count *. Float.max b floor_advanced ->
         fail "%s: %.1f rules advanced per advance vs baseline %.1f (advance scaling with rules?)"
+          path c b
+    | _ -> ())
+  else if is_fed_gate key then (
+    match (num bv, num cv) with
+    | Some b, Some c when c > tol_count *. Float.max b floor_fed ->
+        fail "%s: %.1f rules fed per event vs baseline %.1f (dispatch feeding every subscriber?)"
           path c b
     | _ -> ())
   else if is_digest_gate key then (

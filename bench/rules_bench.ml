@@ -12,6 +12,10 @@
    probed per event} (beta): with sharing both should track the number
    of distinct patterns an event can touch (flat in ruleset size),
    without sharing they track the number of subscribed rules.  The
+   composite rows also report {e rules fed per event} with sharing:
+   each rule's whole query is one shared node, so dispatch feeds a rule
+   only when its node detects something, and the count tracks the
+   rules that fire, not the node's subscribers.  The
    composite sweep gives every rule its own variable names, so sharing
    only happens through the canonicalization rename.  Prints tables and
    emits machine-readable BENCH_rules.json.  [~smoke] runs a fast
@@ -157,6 +161,7 @@ type comp_row = {
   c_joins_shared : int;  (* join pairs probed over the stream *)
   c_joins_unshared : int;
   c_advanced : int;  (* rules touched by the per-event clock advances *)
+  c_fed : int;  (* (rule, event) feeds over the stream, shared *)
   c_shared_ms : float;
   c_unshared_ms : float;
 }
@@ -202,6 +207,7 @@ let comp_case ~kind ~overlap ~rules:n ~events:m =
     c_joins_shared = joins_shared;
     c_joins_unshared = joins_unshared;
     c_advanced = advanced;
+    c_fed = beta "engine.rules_fed";
     c_shared_ms = shared_ms;
     c_unshared_ms = unshared_ms;
   }
@@ -292,8 +298,8 @@ let run ~smoke () =
     ~header:
       [
         "kind"; "rules"; "overlap"; "events"; "nodes"; "regs"; "hit rate";
-        "joins/ev shared"; "joins/ev unshared"; "ratio"; "advanced/adv"; "shared ms";
-        "unshared ms";
+        "joins/ev shared"; "joins/ev unshared"; "ratio"; "advanced/adv"; "fed/ev";
+        "shared ms"; "unshared ms";
       ]
     (List.map
        (fun r ->
@@ -304,7 +310,8 @@ let run ~smoke () =
            Util.f1 (per_event r.c_joins_shared r.c_events);
            Util.f1 (per_event r.c_joins_unshared r.c_events);
            Util.f1 (comp_ratio r) ^ "x"; Util.f1 (per_event r.c_advanced r.c_events);
-           Util.f2 r.c_shared_ms; Util.f2 r.c_unshared_ms;
+           Util.f1 (per_event r.c_fed r.c_events); Util.f2 r.c_shared_ms;
+           Util.f2 r.c_unshared_ms;
          ])
        comp_rows);
   let c_rules = if smoke then 1_000 else 10_000 in
@@ -347,6 +354,7 @@ let run ~smoke () =
                       ff "beta_joins_per_event_shared" (per_event r.c_joins_shared r.c_events);
                       ff "joins_per_event_unshared" (per_event r.c_joins_unshared r.c_events);
                       ff "rules_advanced_per_advance" (per_event r.c_advanced r.c_events);
+                      ff "rules_fed_per_event_shared" (per_event r.c_fed r.c_events);
                       ff "sharing_ratio" (comp_ratio r); ff "shared_run_ms" r.c_shared_ms;
                       ff "unshared_run_ms" r.c_unshared_ms;
                     ])

@@ -27,7 +27,9 @@
 open Xchange_event
 open Xchange_obs
 
-type pnode = {
+type node = {
+  id : int;  (* creation order, dense from 0 *)
+  query : Event_query.t;  (* the canonical subtree *)
   pipe : Incremental.t;  (* the one pipeline all subscribers share *)
   memo : (int, Instance.t list) Hashtbl.t;
       (* event id -> canonical detections, valid for [gen] only *)
@@ -43,7 +45,7 @@ module Keys = Hashtbl.Make (struct
 end)
 
 type t = {
-  nodes : pnode Keys.t;
+  nodes : node Keys.t;
   m : Obs.Metrics.t;
   horizon : Clock.span option;
   index : bool;
@@ -123,6 +125,8 @@ let node t ((cq, ctx) as key) =
   | None ->
       let n =
         {
+          id = Keys.length t.nodes;
+          query = cq;
           pipe =
             Incremental.create_sub ?horizon:t.horizon ~index:t.index ?share:t.share_atoms
               ~ctx cq;
@@ -149,6 +153,10 @@ let step_memo t node (e : Event.t) =
       let r = Incremental.feed node.pipe e in
       Hashtbl.add node.memo e.Event.id r;
       r
+
+let id n = n.id
+let query n = n.query
+let detects t node e = step_memo t node e <> []
 
 let projection t node ~rename : Incremental.subtree_matcher =
   let identity = List.for_all (fun (c, o) -> String.equal c o) rename in
@@ -186,5 +194,5 @@ let subscribe t ~ctx q =
     let cq, rename = Event_query.canonicalize q in
     let node = node t (cq, ctx) in
     t.registrations <- t.registrations + 1;
-    Some (projection t node ~rename)
+    Some (node, projection t node ~rename)
   end

@@ -40,12 +40,16 @@
 
     {b Batches.}  {!Xchange_rules.Engine} calls {!begin_batch} at each
     entry point; within a batch a node's pipeline is stepped exactly
-    once per event (whichever subscriber asks first), later subscribers
-    are served from the generation memo.  An event that reaches {e any}
-    subscriber of a node reaches {e all} of them (dispatch refutes
-    per-rule, and every subscriber contains the subtree's atoms), so
-    the pipeline observes every relevant event exactly once, in batch
-    order — this is what makes the memo sound.
+    once per event, by whoever asks first — the derivation network,
+    which is fed first; the engine's dispatch, for a node that is some
+    rule's whole event query (a {e terminal} node, see {!detects}); or
+    the first rule fed that holds the subtree — and later askers are
+    served from the generation memo.  Dispatch that reaches a node, or
+    any rule holding it, steps it on every event of the batch, in batch
+    order, so the pipeline observes every relevant event exactly once,
+    which is what makes the memo sound.  A terminal node's rules are
+    fed only when it detected something in the batch (unless they
+    observe time): a feed the node hands no detection is a no-op.
 
     A rule registered after events have flowed adopts the shared node's
     accumulated partial matches (a fresh private pipeline would start
@@ -61,6 +65,9 @@ open Xchange_event
 open Xchange_obs
 
 type t
+
+type node
+(** One shared pipeline: a distinct (canonical subtree, context) key. *)
 
 val create :
   ?metrics:Obs.Metrics.t ->
@@ -82,17 +89,34 @@ val begin_batch : t -> unit
     runs; stale memo entries from the previous batch are invalidated
     lazily per node. *)
 
-val subscribe : t -> ctx:Clock.span option -> Event_query.t -> Incremental.subtree_matcher option
+val subscribe :
+  t -> ctx:Clock.span option -> Event_query.t -> (node * Incremental.subtree_matcher) option
 (** Subscribe a composite subtree occurring under enclosing-window
-    context [ctx] — the [~share_sub] hook engines pass to
-    {!Incremental.create} / {!Deductive_event.compile}.  Reuses the node
-    of a semantically-identical subtree subscribed before, else compiles
-    a fresh shared pipeline; [None] when the subtree is not shareable
-    (see above).  The matcher steps the pipeline through the generation
-    memo, then renames the detections into the subscriber's own
-    variable names (the canonical -> original mapping of
-    {!Event_query.canonicalize}).  It behaves exactly like the private
-    compilation it replaces (same instances — property-tested). *)
+    context [ctx]; its matcher is what engines pass to
+    {!Incremental.create} / {!Deductive_event.compile} as [~share_sub].
+    Reuses the node of a semantically-identical subtree subscribed
+    before, else compiles a fresh shared pipeline; [None] when the
+    subtree is not shareable (see above).  The matcher steps the
+    pipeline through the generation memo, then renames the detections
+    into the subscriber's own variable names (the canonical -> original
+    mapping of {!Event_query.canonicalize}).  It behaves exactly like
+    the private compilation it replaces (same instances —
+    property-tested).  The node is returned so that a caller can
+    dispatch to it ({!detects}) without canonicalizing the subtree
+    again. *)
+
+val id : node -> int
+(** Dense from 0, in creation order within the network. *)
+
+val query : node -> Event_query.t
+(** The canonical subtree the node evaluates; its atoms are the ones a
+    dispatcher registers for the node. *)
+
+val detects : t -> node -> Event.t -> bool
+(** Step the node's pipeline on the event through the generation memo,
+    exactly as a subscriber's matcher would (a [beta.steps] or a
+    [beta.hits]), and say whether it detected anything.  Delivers
+    nothing to subscribers, so [beta.fanout] does not move. *)
 
 (** {1 Observability} *)
 

@@ -7,6 +7,15 @@ type compiled = {
   rule : Eca.t;
   scope : Ruleset.scope;
   engine : Incremental.t;
+  terminal : Beta.node option;
+      (** the shared node the rule's whole event query compiled to:
+          dispatch then reaches the rule through the node *)
+}
+
+(* A terminal node and the rules it feeds. *)
+type terminal = {
+  node : Beta.node;
+  mutable subscribers : int list;  (** ascending; a later rule appends *)
 }
 
 type cells = {
@@ -26,9 +35,13 @@ type t = {
           {!Incremental.observes_time} (absence timers, horizon-pruned
           or accumulated join state) *)
   sub : int Sub_index.t option;
-      (** every rule atom registered by (label, payload fingerprint);
+      (** dispatch keys registered by (label, payload fingerprint): the
+          atoms of every non-terminal rule [i] under [i], and the
+          canonical atoms of every terminal node under [-1 - Beta.id];
           [Some] iff [index] — dispatch then refutes rules whose atom
           patterns cannot match the payload; [None] reaches every rule *)
+  terminals : (int, terminal) Hashtbl.t;
+      (** by [Beta.id]; empty on the full scan and without sharing *)
   beta : Beta.t option;
       (** the shared beta network every rule's composite subtrees (and
           the derivation network's) register in; [None] under
@@ -116,17 +129,37 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
       Some (Beta.create ~metrics:m ?horizon ~index ?share_atoms:share_hook ())
     else None
   in
-  let share_sub_hook = Option.map Beta.subscribe beta in
+  (* [Incremental.create] offers a composite root to the hook first, and
+     a shared root ends its compilation: the last node subscribed is the
+     rule's terminal node when it was subscribed for the root itself *)
+  let last_sub = ref None in
+  let share_sub_hook =
+    Option.map
+      (fun b ~ctx q ->
+        Option.map
+          (fun (node, matcher) ->
+            last_sub := Some (q, node);
+            matcher)
+          (Beta.subscribe b ~ctx q))
+      beta
+  in
   let* compiled =
     List.fold_left
       (fun acc (qualified, scope, rule) ->
         let* acc = acc in
+        last_sub := None;
         match
           Incremental.create ~consume:rule.Eca.consume ~selection:rule.Eca.selection ?horizon
             ~index ?share:share_hook ?share_sub:share_sub_hook rule.Eca.event
         with
         | Error e -> Error (Fmt.str "rule %s: %s" qualified e)
-        | Ok engine -> Ok ({ qualified; rule; scope; engine } :: acc))
+        | Ok engine ->
+            let terminal =
+              match !last_sub with
+              | Some (q, node) when q == rule.Eca.event -> Some node
+              | _ -> None
+            in
+            Ok ({ qualified; rule; scope; engine; terminal } :: acc))
       (Ok []) (Ruleset.scoped_rules root)
   in
   (* every scope's visible views must be stratified *)
@@ -176,17 +209,31 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
      event label and what its payload pattern requires, so an event
      touches only the rules that can react to it instead of the whole
      rule base (Thesis 7: never re-scan).  Feeding a refuted (rule,
-     event) pair would be a no-op — the atom's plan cannot match. *)
+     event) pair would be a no-op — the atom's plan cannot match.  A
+     terminal node's atoms are registered once, for all the rules it
+     feeds (Rete's terminal-node activation). *)
+  let terminals = Hashtbl.create 16 in
   let sub =
     if index then begin
       let s = Sub_index.create ~metrics:m () in
+      let register q key =
+        List.iter
+          (fun (a : Event_query.atomic) ->
+            ignore (Sub_index.register s ?label:a.Event_query.label a.Event_query.pattern key))
+          (Event_query.atoms q)
+      in
       Array.iteri
         (fun i cr ->
-          List.iter
-            (fun (a : Event_query.atomic) ->
-              ignore (Sub_index.register s ?label:a.Event_query.label a.Event_query.pattern i))
-            (Event_query.atoms cr.rule.Eca.event))
+          match cr.terminal with
+          | None -> register cr.rule.Eca.event i
+          | Some node -> (
+              match Hashtbl.find_opt terminals (Beta.id node) with
+              | Some tm -> tm.subscribers <- i :: tm.subscribers
+              | None ->
+                  Hashtbl.add terminals (Beta.id node) { node; subscribers = [ i ] };
+                  register (Beta.query node) (-1 - Beta.id node)))
         compiled;
+      Hashtbl.iter (fun _ tm -> tm.subscribers <- List.rev tm.subscribers) terminals;
       Some s
     end
     else None
@@ -197,6 +244,7 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
       compiled;
       clocked;
       sub;
+      terminals;
       beta;
       derivation;
       horizon;
@@ -275,24 +323,46 @@ let fire_detections t ~env ~ops cr detections acc =
       acc)
     acc detections
 
-(* Rules an event can reach, ascending: those with an atom whose label
-   and payload fingerprint the event satisfies. *)
+(* Dispatch keys an event can reach, ascending: terminal nodes first
+   (negative keys), then the rules with an atom whose label and payload
+   fingerprint the event satisfies. *)
 let candidates sub ev =
   List.sort_uniq Int.compare
     (List.map snd (Sub_index.lookup sub ~label:ev.Event.label ev.Event.payload))
 
+(* Each terminal node a batch reaches is stepped on every event of the
+   batch, in batch order — the steps a subscriber's feed would make, so
+   the node observes the same inputs whether or not its rules are fed;
+   its subscribers join [rules] only if it detected something, since
+   otherwise their feeds would be no-ops. *)
+let rec activate t beta batch = function
+  | k :: rest when k < 0 ->
+      let tm = Hashtbl.find t.terminals (-1 - k) in
+      let detected =
+        List.fold_left (fun acc ev -> Beta.detects beta tm.node ev || acc) false batch
+      in
+      let visit = activate t beta batch rest in
+      if detected then merge_sorted visit tm.subscribers else visit
+  | rules -> rules
+
 (* The rules that see a batch of events, ascending (= declaration order,
    so firings come out exactly as the full scan produced them): the
-   clocked rules plus every rule some event of the batch can reach.
-   Each of them gets the whole batch, as under the full scan.  Every
-   other rule would see only events its atoms cannot match, and its
-   engine does not observe time, so feeding it would change nothing.
-   Without the sub-index every batch reaches every rule: the full
-   scan. *)
+   clocked rules, every non-terminal rule some event of the batch can
+   reach, and the subscribers of every terminal node that detected
+   something.  Each of them gets the whole batch, as under the full
+   scan.  Every other rule would see only events its atoms cannot match
+   or its node turned into nothing, and its engine does not observe
+   time, so feeding it would change nothing.  Without the sub-index
+   every batch reaches every rule: the full scan. *)
 let reached t batch =
   match t.sub with
-  | Some sub ->
-      List.fold_left (fun acc ev -> merge_sorted acc (candidates sub ev)) t.clocked batch
+  | Some sub -> (
+      let keys =
+        List.fold_left (fun acc ev -> merge_sorted acc (candidates sub ev)) t.clocked batch
+      in
+      match (keys, t.beta) with
+      | k :: _, Some beta when k < 0 -> activate t beta batch keys
+      | _ -> keys)
   | None -> List.init (Array.length t.compiled) Fun.id
 
 let handle_event t ~env ~ops event =

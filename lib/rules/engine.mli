@@ -33,7 +33,14 @@ val create :
     whose label {e and} payload fingerprint it can satisfy, plus the
     rules whose engine observes time ({!Incremental.observes_time}:
     absence timers, horizon-pruned or accumulated join state).  Such
-    {e clocked} rules see every input.  The other path, selected by
+    {e clocked} rules see every input.  A {e terminal} rule — one whose
+    whole event query the {!Beta} network shares as one node — is
+    reached through its node instead (Rete's
+    terminal-node activation): the node's atoms are registered once
+    for all its rules, the node is stepped once per event that reaches
+    it, and its rules are fed only when it detected something, so the
+    work per event follows detections, not subscribers.  The other
+    path, selected by
     [~index:false], is the oracle, the full scan: every event batch and
     every clock advance reaches every rule, and the inner engines join
     with nested loops instead of hash-partitioned join stores.  Outcomes
@@ -77,11 +84,12 @@ type outcome = {
 
 val handle_event : t -> env:Condition.env -> ops:Action.ops -> Event.t -> outcome
 (** Feeds the event, then the events the derivation network derives
-    from it, to the rules this batch reaches: the clocked rules plus the
-    candidates of any event in the batch (every rule on the full
-    scan).  Each reached rule gets the
-    whole batch, in ascending rule order, so firings come out as under
-    the full scan.  The other rules are skipped; their feeds would be
+    from it, to the rules this batch reaches: the clocked rules, the
+    other rules any event in the batch is a candidate for, and the
+    terminal rules of every node that detected something in the batch
+    (every rule on the full scan).  Each reached rule gets the whole
+    batch, in ascending rule order, so firings come out as under the
+    full scan.  The other rules are skipped; their feeds would be
     no-ops.  [engine.rules_fed] and [engine.rules_skipped] count both
     sides. *)
 
@@ -136,7 +144,10 @@ val next_deadline : t -> Clock.time option
 val metrics : t -> Obs.Metrics.t
 (** The engine's registry.  Dispatch counters, kept on both paths:
     [engine.dispatch_lookups] (event batches routed),
-    [engine.rules_fed] ((rule, event) feeds), [engine.rules_skipped]
+    [engine.rules_fed] ((rule, event) feeds; a terminal rule that is
+    not clocked counts only in batches where its node detected
+    something, so on a rule base of shared composite rules the count
+    tracks firings, not subscribers), [engine.rules_skipped]
     (rules a batch did not reach, always zero under [~index:false]) and
     [engine.rules_advanced] (rules {!advance} moved the clock of).
     [engine.events_seen] counts {!handle_event} calls and

@@ -121,7 +121,7 @@ let test_sharing_key () =
   let net = Beta.create () in
   let nodes () = cells (Beta.metrics net) "beta.nodes" in
   let sub ?ctx q =
-    let (_ : Incremental.subtree_matcher) = Option.get (Beta.subscribe net ~ctx q) in
+    let (_ : Beta.node * Incremental.subtree_matcher) = Option.get (Beta.subscribe net ~ctx q) in
     nodes ()
   in
   ignore (sub (pair_q "X" "Y"));
@@ -218,8 +218,8 @@ let test_shareability_gate () =
 
 let test_sharing_and_fanout () =
   let net = Beta.create () in
-  let m1 = Option.get (Beta.subscribe net ~ctx:None (pair_q "X" "Y")) in
-  let m2 = Option.get (Beta.subscribe net ~ctx:None (pair_q "P" "Q")) in
+  let _, m1 = Option.get (Beta.subscribe net ~ctx:None (pair_q "X" "Y")) in
+  let _, m2 = Option.get (Beta.subscribe net ~ctx:None (pair_q "P" "Q")) in
   let s = cells (Beta.metrics net) in
   Alcotest.(check int) "one node" 1 (s "beta.nodes");
   Alcotest.(check int) "two registrations" 2 (s "beta.registrations");
@@ -267,7 +267,7 @@ let test_engine_beta_stats () =
       ~payload:(Construct.cel "e" [ Construct.cvar "L" ])
   in
   let rs = Ruleset.make ~rules ~event_rules:[ derivation ] "p" in
-  let engine = Engine.create_exn ~share:true rs in
+  let engine = Engine.create_exn ~index:true ~share:true rs in
   let store, ops = harness () in
   let env = Store.env store in
   let s = cells (Engine.metrics engine) in
@@ -279,10 +279,14 @@ let test_engine_beta_stats () =
   Alcotest.(check int) "all rules fired" 3 (List.length outcome.Engine.firings);
   Alcotest.(check int) "derivation ran" 1 (List.length outcome.Engine.derived_events);
   let s = cells (Engine.metrics engine) in
-  (* the rules [b] reaches also see the event it derives, as under the
-     full scan: three events, each stepped once *)
+  (* the derivation network steps the node on both inputs; dispatch
+     reaches it on both and steps it on the rest of [b]'s batch, the
+     event [b] derives: three events, each stepped once *)
   Alcotest.(check int) "each event stepped once" 3 (s "beta.steps");
-  Alcotest.(check int) "other subscribers served from memo" 8 (s "beta.hits");
+  (* the dispatcher's read of [a] (nothing detected, so no rule is fed)
+     and of [b], then three rules reading both events of [b]'s batch *)
+  Alcotest.(check int) "other readers served from memo" 8 (s "beta.hits");
+  Alcotest.(check int) "rules fed only on the detection" 6 (s "engine.rules_fed");
   (* the unshared engine reports no network at all *)
   let plain = Engine.create_exn ~share:false rs in
   Alcotest.(check bool) "no beta cells unshared" false
@@ -290,6 +294,75 @@ let test_engine_beta_stats () =
        (fun (x : Obs.Metrics.sample) -> String.starts_with ~prefix:"beta." x.Obs.Metrics.name)
        (Obs.Metrics.snapshot (Engine.metrics plain)))
 
+(* ---- terminal-node dispatch with every kind of subscriber ------------- *)
+
+(* One shared subtree, four subscribers: the whole query of a plain rule
+   and of a consuming First rule (terminal: dispatch reaches them
+   through the node), a child of an [Or] (the [Or] is unbounded, so
+   under a horizon it is declined and the rule keeps its own dispatch
+   registration), and a derivation trigger (fed every input). *)
+let test_mixed_subscribers () =
+  let shared v1 v2 = Event_query.within (pair_q v1 v2) 8 in
+  let row name = Action.insert ~doc:"/orders" (Construct.cel "row" [ Construct.ctext name ]) in
+  let rules =
+    [
+      Eca.make ~name:"plain" ~on:(shared "X" "Y") (row "plain");
+      Eca.make ~name:"first" ~consume:true ~selection:Incremental.First ~on:(shared "P" "Q")
+        (row "first");
+      Eca.make ~name:"either" ~on:(Event_query.disj [ shared "U" "V"; on_ "c" "W" ]) (row "either");
+      Eca.make ~name:"derived" ~on:(on_ "paired" "D") (row "derived");
+    ]
+  in
+  let derivation =
+    Deductive_event.rule ~name:"pair" ~derives:"paired" ~trigger:(shared "L" "R")
+      ~payload:(Construct.cel "e" [ Construct.cvar "L" ])
+  in
+  let rs = Ruleset.make ~rules ~event_rules:[ derivation ] "p" in
+  let events =
+    [
+      ev ~t:1 ~label:"a" (Term.text "x");
+      ev ~t:2 ~label:"b" (Term.text "y");
+      (* [b@2] is out of the window: the node detects nothing *)
+      ev ~t:20 ~label:"a" (Term.text "z");
+      ev ~t:22 ~label:"b" (Term.text "w");
+      ev ~t:23 ~label:"c" (Term.text "c");
+      (* pairs with [a@20], which [first] consumed at [b@22] *)
+      ev ~t:24 ~label:"b" (Term.text "v");
+    ]
+  in
+  let run ~index ~share =
+    let engine = Engine.create_exn ~horizon:100 ~index ~share rs in
+    let store, ops = harness () in
+    let env = Store.env store in
+    let fed = ref [] in
+    let outcomes =
+      List.map
+        (fun e ->
+          let o = Engine.handle_event engine ~env ~ops e in
+          fed := cells (Engine.metrics engine) "engine.rules_fed" :: !fed;
+          o)
+        events
+    in
+    (outcomes, Option.get (Store.doc store "/orders"), List.rev !fed, cells (Engine.metrics engine))
+  in
+  let shared_o, doc_s, fed, s = run ~index:true ~share:true in
+  let oracle, doc_o, _, _ = run ~index:false ~share:false in
+  Alcotest.(check bool) "same firings, in order" true (List.for_all2 outcome_equal shared_o oracle);
+  Alcotest.(check bool) "same store" true (Term.equal doc_s doc_o);
+  let names o = List.map (fun (f : Eca.firing) -> f.Eca.rule) o.Engine.firings in
+  Alcotest.(check (list string))
+    "the consumed pair is gone for [first] only" [ "plain"; "either"; "derived" ]
+    (names (List.nth shared_o 5));
+  Alcotest.(check int) "one shared node" 1 (s "beta.nodes");
+  Alcotest.(check int) "two terminal node atoms and four rule atoms indexed" 6
+    (s "subindex.entries");
+  (* the derivation trigger reads every input, and the three derived
+     events ride in batches that reach the node: once each *)
+  Alcotest.(check int) "one step per event" 9 (s "beta.steps");
+  (* [a@20]: only [either], through its own atoms; the terminal
+     subscribers are not fed *)
+  Alcotest.(check int) "no terminal subscriber fed without a detection" 1
+    (List.nth fed 2 - List.nth fed 1)
 (* ---- consumption through the shared pipeline -------------------------- *)
 
 let test_consumption_equivalence () =
@@ -398,6 +471,7 @@ let suite =
       Alcotest.test_case "shareability gate" `Quick test_shareability_gate;
       Alcotest.test_case "sharing, memo and fanout accounting" `Quick test_sharing_and_fanout;
       Alcotest.test_case "engine shares ECA and derivation subtrees" `Quick test_engine_beta_stats;
+      Alcotest.test_case "terminal dispatch with mixed subscribers" `Quick test_mixed_subscribers;
       Alcotest.test_case "consumption stays per-rule" `Quick test_consumption_equivalence;
       Alcotest.test_case "crash/recover re-primes shared pipelines" `Quick
         test_crash_recover_identity;
