@@ -29,7 +29,6 @@ open Xchange_obs
 
 type node = {
   id : int;  (* creation order, dense from 0 *)
-  query : Event_query.t;  (* the canonical subtree *)
   pipe : Incremental.t;  (* the one pipeline all subscribers share *)
   memo : (int, Instance.t list) Hashtbl.t;
       (* event id -> canonical detections, valid for [gen] only *)
@@ -126,7 +125,6 @@ let node t ((cq, ctx) as key) =
       let n =
         {
           id = Keys.length t.nodes;
-          query = cq;
           pipe =
             Incremental.create_sub ?horizon:t.horizon ~index:t.index ?share:t.share_atoms
               ~ctx cq;
@@ -155,7 +153,6 @@ let step_memo t node (e : Event.t) =
       r
 
 let id n = n.id
-let query n = n.query
 let detects t node e = step_memo t node e <> []
 
 let projection t node ~rename : Incremental.subtree_matcher =

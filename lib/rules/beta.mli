@@ -108,10 +108,6 @@ val subscribe :
 val id : node -> int
 (** Dense from 0, in creation order within the network. *)
 
-val query : node -> Event_query.t
-(** The canonical subtree the node evaluates; its atoms are the ones a
-    dispatcher registers for the node. *)
-
 val detects : t -> node -> Event.t -> bool
 (** Step the node's pipeline on the event through the generation memo,
     exactly as a subscriber's matcher would (a [beta.steps] or a

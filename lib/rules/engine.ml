@@ -7,9 +7,6 @@ type compiled = {
   rule : Eca.t;
   scope : Ruleset.scope;
   engine : Incremental.t;
-  terminal : Beta.node option;
-      (** the shared node the rule's whole event query compiled to:
-          dispatch then reaches the rule through the node *)
 }
 
 (* A terminal node and the rules it feeds. *)
@@ -17,6 +14,8 @@ type terminal = {
   node : Beta.node;
   mutable subscribers : int list;  (** ascending; a later rule appends *)
 }
+
+module Int_map = Map.Make (Int)
 
 type cells = {
   c_lookups : Obs.Metrics.Counter.t;
@@ -36,12 +35,13 @@ type t = {
           or accumulated join state) *)
   sub : int Sub_index.t option;
       (** dispatch keys registered by (label, payload fingerprint): the
-          atoms of every non-terminal rule [i] under [i], and the
-          canonical atoms of every terminal node under [-1 - Beta.id];
+          atoms of every non-terminal rule [i] under [i], and those of
+          every terminal node under [-1 - Beta.id];
           [Some] iff [index] — dispatch then refutes rules whose atom
           patterns cannot match the payload; [None] reaches every rule *)
-  terminals : (int, terminal) Hashtbl.t;
-      (** by [Beta.id]; empty on the full scan and without sharing *)
+  terminals : terminal Int_map.t;
+      (** by [Beta.id]; empty (and unallocated) when no rule is
+          terminal, as on the full scan and without sharing *)
   beta : Beta.t option;
       (** the shared beta network every rule's composite subtrees (and
           the derivation network's) register in; [None] under
@@ -131,7 +131,8 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
   in
   (* [Incremental.create] offers a composite root to the hook first, and
      a shared root ends its compilation: the last node subscribed is the
-     rule's terminal node when it was subscribed for the root itself *)
+     rule's terminal node — the node dispatch reaches the rule through —
+     when it was subscribed for the root itself *)
   let last_sub = ref None in
   let share_sub_hook =
     Option.map
@@ -143,7 +144,7 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
           (Beta.subscribe b ~ctx q))
       beta
   in
-  let* compiled =
+  let* built =
     List.fold_left
       (fun acc (qualified, scope, rule) ->
         let* acc = acc in
@@ -159,9 +160,10 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
               | Some (q, node) when q == rule.Eca.event -> Some node
               | _ -> None
             in
-            Ok ({ qualified; rule; scope; engine; terminal } :: acc))
+            Ok (({ qualified; rule; scope; engine }, terminal) :: acc))
       (Ok []) (Ruleset.scoped_rules root)
   in
+  let built = List.rev built in
   (* every scope's visible views must be stratified *)
   let* () =
     List.fold_left
@@ -177,7 +179,7 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
       ?share_sub:share_sub_hook ?fresh_id:fresh_event_id
       (Ruleset.all_event_rules root)
   in
-  let compiled = Array.of_list (List.rev compiled) in
+  let compiled = Array.of_list (List.map fst built) in
   let clocked =
     List.filter
       (fun i -> Incremental.observes_time compiled.(i).engine)
@@ -212,31 +214,34 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
      event) pair would be a no-op — the atom's plan cannot match.  A
      terminal node's atoms are registered once, for all the rules it
      feeds (Rete's terminal-node activation). *)
-  let terminals = Hashtbl.create 16 in
-  let sub =
+  let sub, terminals =
     if index then begin
       let s = Sub_index.create ~metrics:m () in
+      let terminals = ref Int_map.empty in
       let register q key =
         List.iter
           (fun (a : Event_query.atomic) ->
             ignore (Sub_index.register s ?label:a.Event_query.label a.Event_query.pattern key))
           (Event_query.atoms q)
       in
-      Array.iteri
-        (fun i cr ->
-          match cr.terminal with
+      List.iteri
+        (fun i (cr, terminal) ->
+          match terminal with
           | None -> register cr.rule.Eca.event i
           | Some node -> (
-              match Hashtbl.find_opt terminals (Beta.id node) with
+              match Int_map.find_opt (Beta.id node) !terminals with
               | Some tm -> tm.subscribers <- i :: tm.subscribers
               | None ->
-                  Hashtbl.add terminals (Beta.id node) { node; subscribers = [ i ] };
-                  register (Beta.query node) (-1 - Beta.id node)))
-        compiled;
-      Hashtbl.iter (fun _ tm -> tm.subscribers <- List.rev tm.subscribers) terminals;
-      Some s
+                  terminals := Int_map.add (Beta.id node) { node; subscribers = [ i ] } !terminals;
+                  (* the node's first rule stands for it: its atoms are
+                     the node's up to variable names, which the index
+                     ignores *)
+                  register cr.rule.Eca.event (-1 - Beta.id node)))
+        built;
+      Int_map.iter (fun _ tm -> tm.subscribers <- List.rev tm.subscribers) !terminals;
+      (Some s, !terminals)
     end
-    else None
+    else (None, Int_map.empty)
   in
   let t =
     {
@@ -337,7 +342,7 @@ let candidates sub ev =
    otherwise their feeds would be no-ops. *)
 let rec activate t beta batch = function
   | k :: rest when k < 0 ->
-      let tm = Hashtbl.find t.terminals (-1 - k) in
+      let tm = Int_map.find (-1 - k) t.terminals in
       let detected =
         List.fold_left (fun acc ev -> Beta.detects beta tm.node ev || acc) false batch
       in

@@ -35,15 +35,15 @@ val create :
     absence timers, horizon-pruned or accumulated join state).  Such
     {e clocked} rules see every input.  A {e terminal} rule — one whose
     whole event query the {!Beta} network shares as one node — is
-    reached through its node instead (Rete's
-    terminal-node activation): the node's atoms are registered once
-    for all its rules, the node is stepped once per event that reaches
-    it, and its rules are fed only when it detected something, so the
+    reached through its node instead (Rete's terminal-node activation):
+    the node's atoms are registered once for all its rules, the node is
+    stepped once on every event of a batch that reaches it, and its
+    rules are fed only when it detected something in the batch, so the
     work per event follows detections, not subscribers.  The other
-    path, selected by
-    [~index:false], is the oracle, the full scan: every event batch and
-    every clock advance reaches every rule, and the inner engines join
-    with nested loops instead of hash-partitioned join stores.  Outcomes
+    path, selected by [~index:false], is the oracle, the full scan:
+    every event batch and every clock advance reaches every rule, and
+    the inner engines join with nested loops instead of
+    hash-partitioned join stores.  Outcomes
     are identical on both paths (property-tested); use the oracle only
     for that comparison.  [index] defaults to true unless
     [XCHANGE_NO_SUBINDEX=1] is set; an explicit [~index] wins.
