@@ -37,10 +37,16 @@ let or_die = function
 let check_cmd path =
   let rs = or_die (load_program path) in
   (match Engine.create rs with
-  | Ok engine ->
+  | Ok engine -> (
       Fmt.pr "OK: %d rule(s): %s@."
         (List.length (Engine.rule_names engine))
-        (String.concat ", " (Engine.rule_names engine))
+        (String.concat ", " (Engine.rule_names engine));
+      (* [create] has stratified the derivation program already *)
+      match Result.get_ok (Deductive_event.stratify (Ruleset.all_event_rules rs)) with
+      | [] -> ()
+      | derivations ->
+          Fmt.pr "%d derivation rule(s), in stratum order: %s@." (List.length derivations)
+            (String.concat ", " (List.map (fun r -> r.Deductive_event.name) derivations)))
   | Error e ->
       Fmt.epr "invalid program: %s@." e;
       exit 1);

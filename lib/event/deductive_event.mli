@@ -4,11 +4,16 @@
     lower-level ones, mirroring what deductive rules do for Web data:
     "the same advantages apply for querying and reasoning with event
     data".  A derivation rule pairs an event query (the trigger) with a
-    construct term building the payload of the derived event.
+    construct term building the payload of the derived event.  The rule
+    engine ({!Xchange_rules.Engine}) runs derivation rules beside the
+    ECA rules, in the order {!stratify} gives them: each detection of a
+    trigger derives one event, stamped with the detection's end time and
+    sent by ["derived:<name>"], and that event reaches the later strata
+    and every ECA rule.
 
     Thesis 9 explicitly allows the language to "be more restrictive
     about rules for events for efficiency reasons (e.g., reject
-    recursive rules)" — {!compile} rejects programs in which a derived
+    recursive rules)" — {!stratify} rejects programs in which a derived
     event label can (transitively) trigger its own derivation. *)
 
 open Xchange_query
@@ -22,47 +27,12 @@ type rule = {
 
 type program = rule list
 
-type t
-(** A compiled, stratified derivation network. *)
-
 val rule :
   name:string -> derives:string -> trigger:Event_query.t -> payload:Construct.t -> rule
 
-val dependencies : program -> (string * string list) list
-(** Derived label -> labels of the atomic event queries triggering it
-    (a [None] label in an atomic query is reported as ["*"] and makes
-    the rule depend on every label). *)
-
-val compile :
-  ?horizon:Clock.span ->
-  ?index:bool ->
-  ?share:(Event_query.atomic -> Incremental.atom_matcher) ->
-  ?share_sub:(ctx:Clock.span option -> Event_query.t -> Incremental.subtree_matcher option) ->
-  ?fresh_id:(unit -> int) ->
-  program ->
-  (t, string) result
-(** Fails on recursive programs (including rules triggered by ["*"]
-    wildcard atomic queries, which would always be recursive) and on
-    invalid trigger queries.  [index], [share] and [share_sub] are
-    forwarded to each trigger's {!Incremental.create}
-    (hash-partitioned joins, shared alpha matchers, shared beta
-    pipelines; [index] defaults to true).  [fresh_id] allocates
-    derived-event ids (typically the owning node's origin lane, see
-    {!Event.scoped_id}); defaults to the global [Event] counter. *)
-
-val feed : t -> Event.t -> Event.t list
-(** Processes one external event and returns all derived events
-    (cascading through strata), in derivation order.  Derived events
-    carry the triggering detection's time and the deriving rule's name
-    as sender ["derived:<name>"]. *)
-
-val advance_to : t -> Clock.time -> Event.t list
-(** Timer-driven derivations (absence triggers). *)
-
-val next_deadline : t -> Clock.time option
-(** Earliest pending absence deadline across the derivation rules —
-    when {!advance_to} must run for a timer-driven derivation to happen
-    on schedule ([None] when no timer is armed). *)
-
-val join_stats : t -> Incremental.join_stats
-(** Aggregated join counters across all derivation-rule engines. *)
+val stratify : program -> (program, string) result
+(** Orders the rules so that each one triggers only on external labels
+    or on labels derived by earlier rules: an event a rule derives
+    reaches only the rules after it.  Fails on recursive programs,
+    including rules triggered by ["*"] wildcard atomic queries (an
+    atomic query without a label), which would always be recursive. *)

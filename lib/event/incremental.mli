@@ -174,7 +174,7 @@ val zero_join_stats : join_stats
 
 val sum_join_stats : join_stats list -> join_stats
 (** Pointwise sum — lets multi-engine owners (the rule engine, the
-    event-derivation network) report one aggregate. *)
+    beta network) report one aggregate. *)
 
 (** {1 Atomic-matcher accounting}
 

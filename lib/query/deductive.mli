@@ -5,9 +5,10 @@
     may reference other views, including recursively; materialisation is
     a semi-naive fixpoint over the produced term instances.
 
-    The event half of the system reuses this module with recursion
-    {e rejected} (see {!Xchange_event.Deductive_event}): Thesis 9 allows
-    a reactive language to "be more restrictive about rules for events
+    The event half of Thesis 9, event derivation rules, runs in the rule
+    engine with recursion {e rejected}
+    ({!Xchange_event.Deductive_event.stratify}): Thesis 9 allows a
+    reactive language to "be more restrictive about rules for events
     for efficiency reasons". *)
 
 open Xchange_data

@@ -25,8 +25,8 @@
 
     Plumbing: {!Xchange_rules.Engine} creates one network per engine
     and threads {!subscribe} into every rule's
-    {!Xchange_event.Incremental.create} and the event-derivation
-    network's {!Xchange_event.Deductive_event.compile} as [~share].
+    {!Xchange_event.Incremental.create}, ECA and event-derivation rules
+    alike, as [~share].
     Nodes live as long as the engine: a rule set only changes by
     building a new engine ({!Xchange_rules.Engine.load_ruleset}, node
     recovery), so nothing is ever unsubscribed.
@@ -45,7 +45,7 @@ val create : ?metrics:Obs.Metrics.t -> unit -> t
 
 val subscribe : t -> Event_query.atomic -> Incremental.atom_matcher
 (** Subscribe an atom — the [~share] hook engines pass to
-    {!Incremental.create} / {!Deductive_event.compile}.  Reuses the node
+    {!Incremental.create}.  Reuses the node
     of a structurally-equal atom subscribed before, else compiles a
     fresh one.  The matcher gates the envelope, then evaluates the
     payload through the node's memo; it behaves exactly like the

@@ -40,8 +40,8 @@
 
     {b Batches.}  {!Xchange_rules.Engine} calls {!begin_batch} at each
     entry point; within a batch a node's pipeline is stepped exactly
-    once per event, by whoever asks first — the derivation network,
-    which is fed first; the engine's dispatch, for a node that is some
+    once per event, by whoever asks first — a derivation rule, as those
+    are fed first; the engine's dispatch, for a node that is some
     rule's whole event query (a {e terminal} node, see {!detects}); or
     the first rule fed that holds the subtree — and later askers are
     served from the generation memo.  Dispatch that reaches a node, or
@@ -93,7 +93,7 @@ val subscribe :
   t -> ctx:Clock.span option -> Event_query.t -> (node * Incremental.subtree_matcher) option
 (** Subscribe a composite subtree occurring under enclosing-window
     context [ctx]; its matcher is what engines pass to
-    {!Incremental.create} / {!Deductive_event.compile} as [~share_sub].
+    {!Incremental.create} as [~share_sub].
     Reuses the node of a semantically-identical subtree subscribed
     before, else compiles a fresh shared pipeline; [None] when the
     subtree is not shareable (see above).  The matcher steps the

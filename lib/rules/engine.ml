@@ -15,6 +15,9 @@ type terminal = {
   mutable subscribers : int list;  (** ascending; a later rule appends *)
 }
 
+(* An event-derivation rule and its trigger's engine. *)
+type deriver = { spec : Deductive_event.rule; trigger : Incremental.t }
+
 module Int_map = Map.Make (Int)
 
 type cells = {
@@ -33,26 +36,26 @@ type t = {
       (** rules that see every input, ascending: those whose engine
           {!Incremental.observes_time} (absence timers, horizon-pruned
           or accumulated join state) *)
+  derivers : deriver array;  (** the event-derivation rules, in stratum order *)
   sub : int Sub_index.t option;
       (** dispatch keys registered by (label, payload fingerprint): the
-          atoms of every non-terminal rule [i] under [i], and those of
-          every terminal node under [-1 - Beta.id];
+          atoms of every non-terminal rule [i] under [i], those of
+          every terminal node under [-1 - Beta.id], and those of
+          derivation rule [j] under [Array.length compiled + j];
           [Some] iff [index] — dispatch then refutes rules whose atom
           patterns cannot match the payload; [None] reaches every rule *)
   terminals : terminal Int_map.t;
       (** by [Beta.id]; empty (and unallocated) when no rule is
           terminal, as on the full scan and without sharing *)
   beta : Beta.t option;
-      (** the shared beta network every rule's composite subtrees (and
-          the derivation network's) register in; [None] under
+      (** the shared beta network every rule's composite subtrees, the
+          derivation rules' included, register in; [None] under
           [~share:false].  The alpha network it shares atoms through
           lives in the rules' matchers. *)
-  derivation : Deductive_event.t;
   horizon : Clock.span option;  (** as requested at [create] (kept for {!load_ruleset}) *)
   index : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
   share : bool;  (** as requested at [create] (kept for {!load_ruleset}) *)
-  fresh_event_id : (unit -> int) option;
-      (** derived-event id allocator (kept for {!load_ruleset}) *)
+  fresh_event_id : (unit -> int) option;  (** derived-event id allocator *)
   remote_deps : ([ `Doc | `Rdf ] * string) list;
       (** remote URIs any rule/view/procedure condition can touch *)
   clocked_remote_deps : ([ `Doc | `Rdf ] * string) list;
@@ -62,14 +65,18 @@ type t = {
   c : cells;
 }
 
+(* every rule's engine, ECA rules then derivation rules *)
+let engines t =
+  Array.append (Array.map (fun cr -> cr.engine) t.compiled)
+    (Array.map (fun d -> d.trigger) t.derivers)
+
 let join_stats t =
   Incremental.sum_join_stats
-    (Deductive_event.join_stats t.derivation
-    :: (match t.beta with Some b -> Beta.join_stats b | None -> Incremental.zero_join_stats)
-    :: Array.to_list (Array.map (fun cr -> Incremental.join_stats cr.engine) t.compiled))
+    ((match t.beta with Some b -> Beta.join_stats b | None -> Incremental.zero_join_stats)
+    :: Array.to_list (Array.map Incremental.join_stats (engines t)))
 
 let live_instances t =
-  Array.fold_left (fun acc cr -> acc + Incremental.live_instances cr.engine) 0 t.compiled
+  Array.fold_left (fun acc e -> acc + Incremental.live_instances e) 0 (engines t)
   + match t.beta with Some b -> Beta.live_instances b | None -> 0
 
 let ( let* ) = Result.bind
@@ -115,13 +122,13 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
     ?(share = not Xchange_core.Escape.no_share) ?fresh_event_id root =
   let* () = Ruleset.validate root in
   let m = Obs.Metrics.create () in
-  (* One alpha network per engine: every rule's atomic matchers — and
-     the event-derivation network's — register in it, so an occurrence
-     is evaluated once per distinct pattern whatever the rule count. *)
+  (* One alpha network per engine: every rule's atomic matchers, the
+     derivation rules' included, register in it, so an occurrence is
+     evaluated once per distinct pattern whatever the rule count. *)
   let alpha = if share then Some (Alpha.create ~metrics:m ()) else None in
   let share_hook = Option.map Alpha.subscribe alpha in
-  (* One beta network per engine: every rule's composite subtrees — and
-     the derivation network's — register in it, so an event is joined
+  (* One beta network per engine: every rule's composite subtrees, the
+     derivation rules' included, register in it, so an event is joined
      once per distinct subtree whatever the rule count.  Its pipelines
      share atoms through the same alpha network. *)
   let beta =
@@ -174,11 +181,19 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
         | Error e -> Error (Fmt.str "rule %s: %s" qualified e))
       (Ok ()) (Ruleset.scoped_rules root)
   in
-  let* derivation =
-    Deductive_event.compile ?horizon ~index ?share:share_hook
-      ?share_sub:share_sub_hook ?fresh_id:fresh_event_id
-      (Ruleset.all_event_rules root)
+  (* derivation rules compile after the ECA rules, in stratum order *)
+  let* derivers =
+    let* ordered = Deductive_event.stratify (Ruleset.all_event_rules root) in
+    List.fold_left
+      (fun acc (spec : Deductive_event.rule) ->
+        let* acc = acc in
+        Incremental.create ?horizon ~index ?share:share_hook ?share_sub:share_sub_hook
+          spec.Deductive_event.trigger
+        |> Result.map (fun trigger -> { spec; trigger } :: acc)
+        |> Result.map_error (Fmt.str "rule %s: %s" spec.Deductive_event.name))
+      (Ok []) ordered
   in
+  let derivers = Array.of_list (List.rev derivers) in
   let compiled = Array.of_list (List.map fst built) in
   let clocked =
     List.filter
@@ -197,10 +212,7 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
   let remote_deps = deps_of all_crs in
   (* an event a derivation timer derives on advance can reach any rule *)
   let clocked_remote_deps =
-    if
-      List.exists
-        (fun (r : Deductive_event.rule) -> Event_query.has_timers r.Deductive_event.trigger)
-        (Ruleset.all_event_rules root)
+    if Array.exists (fun d -> Event_query.has_timers d.spec.Deductive_event.trigger) derivers
     then remote_deps
     else
       match List.filter (fun cr -> Event_query.has_timers cr.rule.Eca.event) all_crs with
@@ -213,7 +225,9 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
      rule base (Thesis 7: never re-scan).  Feeding a refuted (rule,
      event) pair would be a no-op — the atom's plan cannot match.  A
      terminal node's atoms are registered once, for all the rules it
-     feeds (Rete's terminal-node activation). *)
+     feeds (Rete's terminal-node activation).  A derivation rule keeps
+     its own atoms, registered after the ECA rules': derivation programs
+     are small, so terminal activation would buy them nothing. *)
   let sub, terminals =
     if index then begin
       let s = Sub_index.create ~metrics:m () in
@@ -238,6 +252,9 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
                      ignores *)
                   register cr.rule.Eca.event (-1 - Beta.id node)))
         built;
+      Array.iteri
+        (fun j d -> register d.spec.Deductive_event.trigger (Array.length compiled + j))
+        derivers;
       Int_map.iter (fun _ tm -> tm.subscribers <- List.rev tm.subscribers) !terminals;
       (Some s, !terminals)
     end
@@ -248,10 +265,10 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
       root;
       compiled;
       clocked;
+      derivers;
       sub;
       terminals;
       beta;
-      derivation;
       horizon;
       index;
       share;
@@ -365,10 +382,61 @@ let reached t batch =
       let keys =
         List.fold_left (fun acc ev -> merge_sorted acc (candidates sub ev)) t.clocked batch
       in
+      let n = Array.length t.compiled in
+      let keys = if Array.length t.derivers = 0 then keys else List.filter (fun k -> k < n) keys in
       match (keys, t.beta) with
       | k :: _, Some beta when k < 0 -> activate t beta batch keys
       | _ -> keys)
   | None -> List.init (Array.length t.compiled) Fun.id
+
+(* The derivation rules, in stratum order, over a batch whose events so
+   far are [inputs] ([time]: a clock advance).  A rule the batch so far
+   reaches is advanced if it is clocked, then fed it; each detection
+   derives an event for the later strata, or a payload error.  Returns
+   both in an outcome accumulator. *)
+let derive t ?time inputs =
+  let keys evs = match t.sub with Some sub -> List.concat_map (candidates sub) evs | None -> [] in
+  let rec stratum j inputs reach acc =
+    if j = Array.length t.derivers then acc
+    else
+      let d = t.derivers.(j) in
+      let clocked = (not t.index) || Incremental.observes_time d.trigger in
+      if not (clocked || List.mem (Array.length t.compiled + j) reach) then begin
+        Obs.Metrics.Counter.incr t.c.c_skipped;
+        stratum (j + 1) inputs reach acc
+      end
+      else begin
+        Obs.Metrics.Counter.incr ~by:(List.length inputs) t.c.c_fed;
+        let timed =
+          match time with
+          | Some time when clocked ->
+              Obs.Metrics.Counter.incr t.c.c_advanced;
+              Incremental.advance_to d.trigger time
+          | _ -> []
+        in
+        let { Deductive_event.name; derived_label; payload; _ } = d.spec in
+        let derived, errors =
+          List.partition_map
+            (fun (i : Instance.t) ->
+              match Construct.instantiate payload i.Instance.subst [ i.Instance.subst ] with
+              | Error e -> Either.Right (name, e)
+              | Ok payload ->
+                  let id = Option.map (fun f -> f ()) t.fresh_event_id in
+                  Either.Left
+                    (Event.make ?id ~sender:("derived:" ^ name) ~occurred_at:i.Instance.t_end
+                       ~label:derived_label payload))
+            (timed @ List.concat_map (Incremental.feed d.trigger) inputs)
+        in
+        stratum (j + 1) (inputs @ derived) (keys derived @ reach)
+          {
+            acc with
+            derived_events = acc.derived_events @ derived;
+            errors = List.rev_append errors acc.errors;
+          }
+      end
+  in
+  if Array.length t.derivers = 0 then empty_outcome
+  else stratum 0 inputs (keys inputs) empty_outcome
 
 let handle_event t ~env ~ops event =
   Obs.Metrics.Counter.incr t.c.c_seen;
@@ -384,8 +452,8 @@ let handle_event t ~env ~ops event =
     (* one beta memo generation per batch: the first subscriber an
        event reaches steps the shared pipeline, the rest hit the memo *)
     Option.iter Beta.begin_batch t.beta;
-    let derived = Deductive_event.feed t.derivation event in
-    let batch = event :: derived in
+    let derived = derive t [ event ] in
+    let batch = event :: derived.derived_events in
     let visit = reached t batch in
     Obs.Metrics.Counter.incr t.c.c_lookups;
     Obs.Metrics.Counter.incr ~by:(List.length visit * List.length batch) t.c.c_fed;
@@ -408,8 +476,7 @@ let handle_event t ~env ~ops event =
                      ~name:"detect" ~vt:(ops.Action.now ()) ());
               fire_detections t ~env ~ops cr detections acc)
             acc batch)
-        { empty_outcome with derived_events = derived }
-        visit
+        derived visit
     in
     let out = finish acc in
     (if span <> 0 then
@@ -423,12 +490,14 @@ let handle_event t ~env ~ops event =
   end
 
 (* A bare clock advance moves only the clocked rules (every rule on the
-   full scan); the events it derives reach their candidates through the
-   same path as [handle_event].  A reached rule is fed the derived events before its
-   clock moves, and its timer detections fire first. *)
+   full scan); the events the derivation rules derive on it reach their
+   candidates through the same path as [handle_event].  A reached ECA
+   rule is fed the derived events before its clock moves, and its timer
+   detections fire first. *)
 let advance t ~env ~ops time =
   Option.iter Beta.begin_batch t.beta;
-  let derived = Deductive_event.advance_to t.derivation time in
+  let acc = derive t ~time [] in
+  let derived = acc.derived_events in
   let acc =
     List.fold_left
       (fun acc i ->
@@ -442,8 +511,7 @@ let advance t ~env ~ops time =
           end
         in
         fire_detections t ~env ~ops cr (timed @ fed) acc)
-      { empty_outcome with derived_events = derived }
-      (reached t derived)
+      acc (reached t derived)
   in
   finish acc
 
@@ -461,10 +529,12 @@ let clocked_remote_resources t = t.clocked_remote_deps
 let min_opt a b =
   match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (min x y)
 
-(* only clocked rules and the derivation network can hold a deadline:
-   the other rules have no timers *)
+(* only the clocked ECA rules and the derivation rules can hold a
+   deadline: the other rules have no timers *)
 let next_deadline t =
-  List.fold_left
-    (fun acc i -> min_opt acc (Incremental.next_deadline t.compiled.(i).engine))
-    (Deductive_event.next_deadline t.derivation)
-    t.clocked
+  Array.fold_left
+    (fun acc d -> min_opt acc (Incremental.next_deadline d.trigger))
+    (List.fold_left
+       (fun acc i -> min_opt acc (Incremental.next_deadline t.compiled.(i).engine))
+       None t.clocked)
+    t.derivers

@@ -2,11 +2,11 @@
 
     One engine per Web site: "each Web site manages its own rule base
     and determines locally which of the rules fire."  The engine owns
-    the compiled event-query state of every ECA rule and the node's
-    event derivation network; it acts on the world only through the
-    capability records it is handed ([env] for reading, [ops] for
-    writing), so global behaviour arises exclusively from event-based
-    communication and Web data access.
+    the compiled event-query state of every rule, ECA and event
+    derivation alike; it acts on the world only through the capability
+    records it is handed ([env] for reading, [ops] for writing), so
+    global behaviour arises exclusively from event-based communication
+    and Web data access.
 
     Expired events (Thesis 4) are dropped on arrival, before any rule
     sees them. *)
@@ -25,16 +25,17 @@ val create :
   Ruleset.t ->
   (t, string) result
 (** Validates the rule set (duplicate names, unresolved procedure
-    calls), every rule's event query, and the (non-recursive) event
-    derivation program, then compiles one incremental engine per rule.
+    calls), every rule's event query, and the event derivation program
+    ({!Deductive_event.stratify}), then compiles one incremental engine
+    per rule: the ECA rules, then the derivation rules in stratum order.
 
     Dispatch has two paths.  By default every rule atom is registered
     in a shared {!Sub_index}: an event reaches only rules with an atom
     whose label {e and} payload fingerprint it can satisfy, plus the
     rules whose engine observes time ({!Incremental.observes_time}:
     absence timers, horizon-pruned or accumulated join state).  Such
-    {e clocked} rules see every input.  A {e terminal} rule — one whose
-    whole event query the {!Beta} network shares as one node — is
+    {e clocked} rules see every input.  A {e terminal} ECA rule — one
+    whose whole event query the {!Beta} network shares as one node — is
     reached through its node instead (Rete's terminal-node activation):
     the node's atoms are registered once for all its rules, the node is
     stepped once on every event of a batch that reaches it, and its
@@ -43,17 +44,17 @@ val create :
     path, selected by [~index:false], is the oracle, the full scan:
     every event batch and every clock advance reaches every rule, and
     the inner engines join with nested loops instead of
-    hash-partitioned join stores.  Outcomes
-    are identical on both paths (property-tested); use the oracle only
-    for that comparison.  [index] defaults to true unless
-    [XCHANGE_NO_SUBINDEX=1] is set; an explicit [~index] wins.
+    hash-partitioned join stores.  Outcomes are identical on both paths
+    (property-tested); use the oracle only for that comparison.
+    [index] defaults to true unless [XCHANGE_NO_SUBINDEX=1] is set; an
+    explicit [~index] wins.
 
     [share] (default: on unless [XCHANGE_NO_SHARE=1]; an explicit
     [~share] wins) deduplicates rule evaluation across the whole rule
-    base through two shared networks.  The {!Alpha} network dedupes atomic event matchers:
-    structurally-identical atoms — in ECA rules and event-derivation
-    rules alike — evaluate a given occurrence once and fan the
-    substitutions out to every subscribing rule, so large rule sets
+    base through two shared networks.  The {!Alpha} network dedupes
+    atomic event matchers: structurally-identical atoms evaluate a given
+    occurrence once and fan the substitutions out to every subscribing
+    rule, of either kind, so large rule sets
     with overlapping patterns pay per {e distinct} pattern, not per
     rule.  The {!Beta} network dedupes composite join state: rules
     whose (alpha-renamed) And/Seq/Times subtrees coincide share one
@@ -63,8 +64,8 @@ val create :
     unshared outcomes are identical (property-tested, [test_alpha] /
     [test_beta]). *)
 
-(** [fresh_event_id] allocates ids for events derived by the engine's
-    derivation network (typically the owning node's origin lane, see
+(** [fresh_event_id] allocates ids for the events the derivation rules
+    derive (typically the owning node's origin lane, see
     {!Event.scoped_id}); preserved across {!load_ruleset}.  Defaults to
     the global [Event] counter. *)
 
@@ -83,25 +84,26 @@ type outcome = {
 }
 
 val handle_event : t -> env:Condition.env -> ops:Action.ops -> Event.t -> outcome
-(** Feeds the event, then the events the derivation network derives
-    from it, to the rules this batch reaches: the clocked rules, the
-    other rules any event in the batch is a candidate for, and the
-    terminal rules of every node that detected something in the batch
-    (every rule on the full scan).  Each reached rule gets the whole
-    batch, in ascending rule order, so firings come out as under the
-    full scan.  The other rules are skipped; their feeds would be
-    no-ops.  [engine.rules_fed] and [engine.rules_skipped] count both
-    sides. *)
+(** Feeds the batch of the event and what the derivation rules derive
+    from it.  A batch reaches the clocked rules, the other rules any of
+    its events is a candidate for, and the terminal rules of every node
+    that detected something in it (every rule on the full scan).  The
+    derivation rules run first, in stratum order: one reached by the
+    batch so far is fed it, and what it derives joins the batch.  Each
+    ECA rule reached then gets the whole batch, in ascending rule
+    order, so firings come out as under the full scan.  The other rules
+    are skipped; their feeds would be no-ops.  [engine.rules_fed] and
+    [engine.rules_skipped] count both sides.  A payload error of a
+    derivation rule derives nothing and is reported in [errors]. *)
 
 val advance : t -> env:Condition.env -> ops:Action.ops -> Clock.time -> outcome
-(** Moves the engine clock: absence deadlines can fire rules.  Advances
-    the derivation network, feeds the events it derives to the rules
-    they reach (the same path as {!handle_event}), and advances only
-    the clocked rules: a bare clock advance cannot make any other rule
-    fire.  A rule is fed before its clock moves, and its timer
-    detections fire first.  Costs O(clocked + reached rules), not
-    O(rules); [engine.rules_advanced] counts the rules advanced.
-    [~index:false] advances every rule. *)
+(** Moves the engine clock: absence deadlines can fire rules.  Runs as
+    {!handle_event} on an empty batch, and advances only the clocked
+    rules: a bare clock advance cannot make any other rule fire.  A
+    derivation rule is advanced before it is fed; an ECA rule is fed
+    first, and its timer detections fire first.  Costs O(clocked +
+    reached rules), not O(rules); [engine.rules_advanced] counts the
+    rules advanced.  [~index:false] advances every rule. *)
 
 val load_ruleset : t -> Ruleset.t -> (t, string) result
 (** Meta-programming support (Thesis 11): a new rule set received as a
@@ -129,15 +131,15 @@ val remote_resources : t -> ([ `Doc | `Rdf ] * string) list
 
 val clocked_remote_resources : t -> ([ `Doc | `Rdf ] * string) list
 (** The prefetch set for engine {!advance}: the remote URIs of the
-    timer-bearing rules, or all of {!remote_resources} when an
-    event-derivation rule has absence timers (the event it derives on
-    an advance can reach any rule).  Empty when nothing has absence
+    timer-bearing ECA rules, or all of {!remote_resources} when a
+    derivation rule has absence timers (the event it derives on an
+    advance can reach any rule).  Empty when nothing has absence
     timers. *)
 
 val next_deadline : t -> Clock.time option
-(** Earliest pending absence deadline across the clocked rules and the
-    event-derivation network, the only ones that can hold one ([None]
-    when no timer is armed). *)
+(** Earliest pending absence deadline across the clocked ECA rules and
+    the derivation rules, the only ones that can hold one ([None] when
+    no timer is armed). *)
 
 (** {1 Dispatch observability} *)
 
@@ -147,17 +149,19 @@ val metrics : t -> Obs.Metrics.t
     [engine.rules_fed] ((rule, event) feeds; a terminal rule that is
     not clocked counts only in batches where its node detected
     something, so on a rule base of shared composite rules the count
-    tracks firings, not subscribers), [engine.rules_skipped]
-    (rules a batch did not reach, always zero under [~index:false]) and
-    [engine.rules_advanced] (rules {!advance} moved the clock of).
+    tracks firings, not subscribers; a derivation rule, on {!advance}
+    too, counts the batch so far each time it is reached),
+    [engine.rules_skipped] (rules a batch did not reach, always zero
+    under [~index:false]; a derivation rule counts on {!advance} too)
+    and [engine.rules_advanced] (rules {!advance} moved the clock of).
     [engine.events_seen] counts {!handle_event} calls and
     [engine.condition_evaluations] the rule branch conditions
     evaluated.  Pull cells sample what the inner engines own:
     [engine.live_instances] (stored partial matches across all rules
     plus the shared beta pipelines, the Thesis 4 memory proxy) and
     [engine.join.*] (probes, pairs probed and skipped, instances
-    pruned), summed over every rule engine, the event-derivation
-    network and the shared beta pipelines.  [index] also selects the
+    pruned), summed over every rule engine, ECA and derivation, and
+    the shared beta pipelines.  [index] also selects the
     storage mode of the inner engines, so comparing [engine.join.*]
     across the two modes measures the composite-event hot path in
     isolation.  The shared networks register their [alpha.*] and

@@ -512,10 +512,12 @@ let recover t ctx =
             | _ -> ())
           pre;
       (* 2. restore the snapshot baseline; the input tail re-primes the
-         engine's composite-event state (with inert capabilities — its
-         effects already happened), after which the id-lane counters and
-         the firing count are pinned to their snapshot values, undoing
-         the priming's re-allocations *)
+         engine's composite-event state with inert capabilities (its
+         effects already happened) and derived-event ids from the upper
+         half of the 2^40-id lane, which the node never mints: replay
+         re-mints the pre-crash ids, and the alpha memo, keyed by event
+         id, outlives batches.  Then the id-lane counters and the firing
+         count are pinned to their snapshot values *)
       (match snap with
       | None -> ()
       | Some s ->
@@ -527,6 +529,7 @@ let recover t ctx =
           t.log_lines <- s.Wal.s_logs;
           t.errors <- s.Wal.s_errors;
           let null_env = Condition.env_of_docs [] in
+          t.event_n := 1 lsl 39;
           List.iter
             (fun entry ->
               Istore.Dq.push_back t.tail entry;

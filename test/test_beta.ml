@@ -279,20 +279,21 @@ let test_engine_beta_stats () =
   Alcotest.(check int) "all rules fired" 3 (List.length outcome.Engine.firings);
   Alcotest.(check int) "derivation ran" 1 (List.length outcome.Engine.derived_events);
   let s = cells (Engine.metrics engine) in
-  (* the derivation network steps the node on both inputs, and the
-     rest of [b]'s batch, the event [b] derives, is stepped by whoever
-     reads it first — the terminal-node dispatcher, or on the full scan
-     the first rule fed: three events, each stepped once on both paths *)
+  (* the derivation rule steps the node on both inputs, and the rest of
+     [b]'s batch, the event [b] derives, is stepped by whoever reads it
+     first — the terminal-node dispatcher, or on the full scan the first
+     rule fed: three events, each stepped once on both paths *)
   Alcotest.(check int) "each event stepped once" 3 (s "beta.steps");
   (* dispatch: the dispatcher's read of [a] and of [b], then three
      rules reading both events of [b]'s batch; the full scan: three
      rules reading [a], then [b] and the derived event, less the one
      step *)
   Alcotest.(check int) "other readers served from memo" 8 (s "beta.hits");
-  (* the full scan feeds every rule every event of both batches (3 + 6);
-     dispatch feeds the node's rules only on [b]'s batch, the one in
-     which it detected something *)
-  Alcotest.(check int) "rules fed" (if Escape.no_subindex then 9 else 6) (s "engine.rules_fed");
+  (* the derivation rule is fed each input (1 + 1); the full scan feeds
+     every ECA rule every event of both batches (3 + 6), dispatch feeds
+     the node's rules only on [b]'s batch, the one in which it detected
+     something *)
+  Alcotest.(check int) "rules fed" (if Escape.no_subindex then 11 else 8) (s "engine.rules_fed");
   (* the unshared engine reports no network at all *)
   let plain = Engine.create_exn ~share:false rs in
   Alcotest.(check bool) "no beta cells unshared" false
@@ -306,7 +307,8 @@ let test_engine_beta_stats () =
    and of a consuming First rule (terminal: dispatch reaches them
    through the node), a child of an [Or] (the [Or] is unbounded, so
    under a horizon it is declined and the rule keeps its own dispatch
-   registration), and a derivation trigger (fed every input). *)
+   registration), and a derivation trigger (reached through its own
+   atoms, like the [Or] rule). *)
 let test_mixed_subscribers () =
   let shared v1 v2 = Event_query.within (pair_q v1 v2) 8 in
   let row name = Action.insert ~doc:"/orders" (Construct.cel "row" [ Construct.ctext name ]) in
@@ -360,15 +362,41 @@ let test_mixed_subscribers () =
     "the consumed pair is gone for [first] only" [ "plain"; "either"; "derived" ]
     (names (List.nth shared_o 5));
   Alcotest.(check int) "one shared node" 1 (s "beta.nodes");
-  Alcotest.(check int) "two terminal node atoms and four rule atoms indexed" 6
-    (s "subindex.entries");
-  (* the derivation trigger reads every input, and the three derived
-     events ride in batches that reach the node: once each *)
+  Alcotest.(check int) "two terminal node atoms, four rule atoms and two derivation atoms indexed"
+    8 (s "subindex.entries");
+  (* the derivation trigger reads every [a] and [b], the [Or] rule reads
+     [c] too, and the three derived events ride in batches that reach
+     the node: once each *)
   Alcotest.(check int) "one step per event" 9 (s "beta.steps");
-  (* [a@20]: only [either], through its own atoms; the terminal
-     subscribers are not fed *)
-  Alcotest.(check int) "no terminal subscriber fed without a detection" 1
+  (* [a@20]: only [either] and the derivation rule, through their own
+     atoms; the terminal subscribers are not fed *)
+  Alcotest.(check int) "no terminal subscriber fed without a detection" 2
     (List.nth fed 2 - List.nth fed 1)
+
+(* A derivation rule is dispatched like an ECA rule: an event none of
+   its trigger's atoms can match neither feeds it nor steps the node its
+   trigger shares. *)
+let test_derivation_dispatch () =
+  let pair =
+    Deductive_event.rule ~name:"pair" ~derives:"paired"
+      ~trigger:(Event_query.within (pair_q "X" "Y") 8)
+      ~payload:(Construct.cel "e" [ Construct.cvar "X" ])
+  in
+  let engine =
+    Engine.create_exn ~index:true ~share:true (Ruleset.make ~event_rules:[ pair ] "p")
+  in
+  let store, ops = harness () in
+  let env = Store.env store in
+  let after e =
+    ignore (Engine.handle_event engine ~env ~ops e);
+    let s = cells (Engine.metrics engine) in
+    (s "beta.steps", s "engine.rules_fed")
+  in
+  Alcotest.(check (pair int int)) "[c] reaches nothing" (0, 0)
+    (after (ev ~t:1 ~label:"c" (Term.text "c")));
+  Alcotest.(check (pair int int)) "[a] is fed and steps the node" (1, 1)
+    (after (ev ~t:2 ~label:"a" (Term.text "x")))
+
 (* ---- consumption through the shared pipeline -------------------------- *)
 
 let test_consumption_equivalence () =
@@ -408,26 +436,36 @@ let test_consumption_equivalence () =
 
 (* ---- crash/recovery: WAL replay re-primes the shared pipelines ------- *)
 
+let wal_rule name q row vars =
+  Eca.make ~name ~on:q
+    (Action.insert ~doc:"/pairs" (Construct.cel row (List.map Construct.cvar vars)))
+
+let p1 = wal_rule "p1" (pair_q "X" "Y") "row" [ "X"; "Y" ]
+
+(* alpha-equivalent twins *)
 let beta_wal_rules =
+  Ruleset.make ~rules:[ p1; wal_rule "p2" (pair_q "P" "Q") "mirror" [ "Q" ] ] "betawal"
+
+(* a derivation rule sharing [p1]'s pipeline, and a rule reacting to the
+   events it derives: re-priming derives events too, and their ids must
+   not collide with those the replay derives *)
+let beta_wal_derived =
   Ruleset.make
-    ~rules:
+    ~rules:[ p1; wal_rule "d1" (on_ "paired" "D") "derived" [ "D" ] ]
+    ~event_rules:
       [
-        Eca.make ~name:"p1"
-          ~on:(pair_q "X" "Y")
-          (Action.insert ~doc:"/pairs" (Construct.cel "row" [ Construct.cvar "X"; Construct.cvar "Y" ]));
-        Eca.make ~name:"p2"
-          ~on:(pair_q "P" "Q")
-          (Action.insert ~doc:"/pairs" (Construct.cel "mirror" [ Construct.cvar "Q" ]));
+        Deductive_event.rule ~name:"pair" ~derives:"paired" ~trigger:(pair_q "L" "R")
+          ~payload:(Construct.cel "e" [ Construct.cvar "L"; Construct.cvar "R" ]);
       ]
-    "betawal"
+    "betawal-derived"
 
 let canon_doc t =
   String.concat "|" (List.sort compare (List.map Xml.to_string (Term.children (Term.strip_ids t))))
 
-let run_beta_crash ~crash () =
+let run_beta_crash ~crash rules =
   Event.reset_ids ();
   Message.reset_ids ();
-  let n = node_exn ~host:"a.example" beta_wal_rules in
+  let n = node_exn ~host:"a.example" rules in
   Store.add_doc (Node.store n) "/pairs" (Term.elem ~ord:Term.Unordered "pairs" []);
   Node.checkpoint n ~at:Clock.origin;
   let net = Network.create () in
@@ -456,16 +494,20 @@ let run_beta_crash ~crash () =
 let test_crash_recover_identity () =
   if Escape.no_wal then () (* amnesic hatch: nothing to recover from *)
   else begin
-    let f0, d0, _ = run_beta_crash ~crash:None () in
-    (* the crash lands mid-stream: join state built before it must be
-       re-primed from WAL replay for the post-recovery pairs to fire *)
-    let f1, d1, automatic = run_beta_crash ~crash:(Some (35, 55)) () in
-    Alcotest.(check bool)
-      (Fmt.str "automatic snapshots before the crash (%d)" automatic)
-      true (automatic >= 1);
-    Alcotest.(check int) "firings converge" f0 f1;
-    Alcotest.(check string) "stores converge" d0 d1;
-    Alcotest.(check bool) "pairs actually fired" true (f0 > 0)
+    List.iter
+      (fun rules ->
+        let name s = Fmt.str "%s: %s" rules.Ruleset.name s in
+        let f0, d0, _ = run_beta_crash ~crash:None rules in
+        (* the crash lands mid-stream: join state built before it must be
+           re-primed from WAL replay for the post-recovery pairs to fire *)
+        let f1, d1, automatic = run_beta_crash ~crash:(Some (35, 55)) rules in
+        Alcotest.(check bool)
+          (name (Fmt.str "automatic snapshots before the crash (%d)" automatic))
+          true (automatic >= 1);
+        Alcotest.(check int) (name "firings converge") f0 f1;
+        Alcotest.(check string) (name "stores converge") d0 d1;
+        Alcotest.(check bool) (name "pairs actually fired") true (f0 > 0))
+      [ beta_wal_rules; beta_wal_derived ]
   end
 
 let suite =
@@ -478,6 +520,7 @@ let suite =
       Alcotest.test_case "sharing, memo and fanout accounting" `Quick test_sharing_and_fanout;
       Alcotest.test_case "engine shares ECA and derivation subtrees" `Quick test_engine_beta_stats;
       Alcotest.test_case "terminal dispatch with mixed subscribers" `Quick test_mixed_subscribers;
+      Alcotest.test_case "derivation rules are dispatched" `Quick test_derivation_dispatch;
       Alcotest.test_case "consumption stays per-rule" `Quick test_consumption_equivalence;
       Alcotest.test_case "crash/recover re-primes shared pipelines" `Quick
         test_crash_recover_identity;

@@ -263,16 +263,36 @@ let test_horizon_caps_unbounded () =
 
 (* ---- derived events (Thesis 9) ---- *)
 
+(* Derivation rules run in the rule engine: an engine over [rules] alone,
+   and the events one input derives in it. *)
+let derivation_engine ?share rules =
+  Engine.create ?share (Ruleset.make ~event_rules:rules "derive")
+
+let handle engine e =
+  let ops =
+    {
+      Action.update = (fun _ -> Ok 0);
+      txn_update = (fun _ -> Ok 0);
+      send = (fun ~recipient:_ ~label:_ ~ttl:_ ~delay:_ _ -> ());
+      log = ignore;
+      now = (fun () -> Event.time e);
+      checkpoint = (fun () -> fun () -> ());
+    }
+  in
+  Engine.handle_event engine ~env:(Condition.env_of_docs []) ~ops e
+
+let derived_by engine e = (handle engine e).Engine.derived_events
+
 let test_derivation () =
   let rule =
     Deductive_event.rule ~name:"escalate" ~derives:"alarm"
       ~trigger:(Event_query.times 2 qa 100)
       ~payload:(Construct.cel "alarm" [ Construct.cvar "X" ])
   in
-  let net = Result.get_ok (Deductive_event.compile [ rule ]) in
-  let d1 = Deductive_event.feed net (ea 0 7) in
+  let engine = Result.get_ok (derivation_engine [ rule ]) in
+  let d1 = derived_by engine (ea 0 7) in
   Alcotest.(check int) "no alarm yet" 0 (List.length d1);
-  let d2 = Deductive_event.feed net (ea 10 7) in
+  let d2 = derived_by engine (ea 10 7) in
   Alcotest.(check int) "alarm derived" 1 (List.length d2);
   Alcotest.(check string) "label" "alarm" (List.hd d2).Event.label
 
@@ -286,17 +306,41 @@ let test_derivation_cascade () =
       ~trigger:(Event_query.on ~label:"mid" (Qterm.var "M"))
       ~payload:(Construct.cel "top" [])
   in
-  let net = Result.get_ok (Deductive_event.compile [ r2; r1 ]) in
-  let derived = Deductive_event.feed net (ea 0 1) in
+  let engine = Result.get_ok (derivation_engine [ r2; r1 ]) in
+  let derived = derived_by engine (ea 0 1) in
   Alcotest.(check (list string)) "cascade through strata" [ "mid"; "top" ]
     (List.map (fun e -> e.Event.label) derived)
+
+(* a derivation rule's partial matches count among the engine's live
+   instances, as an ECA rule's do *)
+let test_derivation_live_instances () =
+  let pair =
+    Deductive_event.rule ~name:"pair" ~derives:"paired" ~trigger:(Event_query.conj [ qa; qb ])
+      ~payload:(Construct.cel "e" [ Construct.cvar "X" ])
+  in
+  let engine = Result.get_ok (derivation_engine ~share:false [ pair ]) in
+  ignore (handle engine (ea 0 1));
+  Alcotest.(check (float 0.)) "the stored [a]" 1.
+    (Obs.Metrics.total (Obs.Metrics.snapshot (Engine.metrics engine)) "engine.live_instances")
+
+(* a payload that names a variable the trigger never binds derives
+   nothing, and says so as an ECA action error would *)
+let test_derivation_payload_error () =
+  let broken =
+    Deductive_event.rule ~name:"broken" ~derives:"e" ~trigger:qa
+      ~payload:(Construct.cel "e" [ Construct.cvar "Z" ])
+  in
+  let outcome = handle (Result.get_ok (derivation_engine [ broken ])) (ea 0 1) in
+  Alcotest.(check int) "nothing derived" 0 (List.length outcome.Engine.derived_events);
+  Alcotest.(check (list string)) "the error names the rule" [ "broken" ]
+    (List.map fst outcome.Engine.errors)
 
 let test_recursion_rejected () =
   let self_loop =
     Deductive_event.rule ~name:"loop" ~derives:"a" ~trigger:qa
       ~payload:(Construct.cel "a" [ Construct.cvar "X" ])
   in
-  (match Deductive_event.compile [ self_loop ] with
+  (match derivation_engine [ self_loop ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "self-recursive derivation accepted");
   let r1 =
@@ -309,14 +353,14 @@ let test_recursion_rejected () =
       ~trigger:(Event_query.on ~label:"y" (Qterm.var "V"))
       ~payload:(Construct.cel "z" [])
   in
-  (match Deductive_event.compile [ r1; r2 ] with
+  (match derivation_engine [ r1; r2 ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "mutually recursive derivation accepted");
   let wildcard =
     Deductive_event.rule ~name:"w" ~derives:"any" ~trigger:(Event_query.on (Qterm.var "V"))
       ~payload:(Construct.cel "any" [])
   in
-  match Deductive_event.compile [ wildcard ] with
+  match derivation_engine [ wildcard ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wildcard trigger accepted (always recursive)"
 
@@ -345,4 +389,8 @@ let suite =
       Alcotest.test_case "event derivation" `Quick test_derivation;
       Alcotest.test_case "derivation cascades through strata" `Quick test_derivation_cascade;
       Alcotest.test_case "recursive derivations rejected" `Quick test_recursion_rejected;
+      Alcotest.test_case "derivation partial matches are live instances" `Quick
+        test_derivation_live_instances;
+      Alcotest.test_case "derivation payload errors are reported" `Quick
+        test_derivation_payload_error;
     ] )
