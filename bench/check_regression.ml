@@ -44,6 +44,11 @@
      subscribing rules — growth beyond 1.5x the baseline (over a floor
      of one rule) means dispatch went back to feeding every subscriber
      of a reached node.
+   - the per-rule memory of the shared engine ([words_per_rule_shared]):
+     reachable words after a fixed stream, deterministic for a fixed
+     ruleset — growth beyond 1.5x the baseline (over a small floor)
+     means per-rule state grew back (a store or table per rule that
+     nothing reads).
    - the clock-advance work counter ([rules_advanced_per_advance]):
      deterministic for a fixed ruleset, and an advance must touch only
      the rules that observe time, not the rule count — growth beyond
@@ -77,6 +82,7 @@ let floor_alpha_evals = 4.0
 let floor_beta_joins = 8.0
 let floor_advanced = 1.0
 let floor_fed = 1.0
+let floor_words = 16.0
 let floor_digests = 1.0
 let floor_snapshot_bytes = 4096.0
 
@@ -112,6 +118,7 @@ let is_alpha_gate key = key = "alpha_evals_per_event_shared"
 let is_beta_gate key = key = "beta_joins_per_event_shared"
 let is_advance_gate key = key = "rules_advanced_per_advance"
 let is_fed_gate key = key = "rules_fed_per_event_shared"
+let is_words_gate key = key = "words_per_rule_shared"
 let is_digest_gate key = key = "full_digests"
 let is_snapshot_gate key = key = "snapshot_bytes"
 
@@ -192,6 +199,11 @@ and field path key bv cv =
     | Some b, Some c when c > tol_count *. Float.max b floor_fed ->
         fail "%s: %.1f rules fed per event vs baseline %.1f (dispatch feeding every subscriber?)"
           path c b
+    | _ -> ())
+  else if is_words_gate key then (
+    match (num bv, num cv) with
+    | Some b, Some c when c > tol_count *. Float.max b floor_words ->
+        fail "%s: %.1f words per rule vs baseline %.1f (per-rule state grew?)" path c b
     | _ -> ())
   else if is_digest_gate key then (
     match (num bv, num cv) with

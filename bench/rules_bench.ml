@@ -15,7 +15,9 @@
    composite rows also report {e rules fed per event} with sharing:
    each rule's whole query is one shared node, so dispatch feeds a rule
    only when its node detects something, and the count tracks the
-   rules that fire, not the node's subscribers.  The
+   rules that fire, not the node's subscribers.  They also report the
+   shared engine's reachable words per rule after its stream: what a
+   rule costs in memory beside the shared networks.  The
    composite sweep gives every rule its own variable names, so sharing
    only happens through the canonicalization rename.  Prints tables and
    emits machine-readable BENCH_rules.json.  [~smoke] runs a fast
@@ -162,6 +164,7 @@ type comp_row = {
   c_joins_unshared : int;
   c_advanced : int;  (* rules touched by the per-event clock advances *)
   c_fed : int;  (* (rule, event) feeds over the stream, shared *)
+  c_words : int;  (* reachable words of the shared engine after its stream *)
   c_shared_ms : float;
   c_unshared_ms : float;
 }
@@ -183,10 +186,15 @@ let comp_case ~kind ~overlap ~rules:n ~events:m =
             0 events)
     in
     let cell = Util.cells (Engine.metrics engine) in
-    (fired, cell "engine.join.pairs_probed", cell "engine.rules_advanced", ms, cell)
+    ( fired,
+      cell "engine.join.pairs_probed",
+      cell "engine.rules_advanced",
+      ms,
+      cell,
+      Obj.reachable_words (Obj.repr engine) )
   in
-  let fired_s, joins_shared, advanced, shared_ms, beta = run true in
-  let fired_u, joins_unshared, _, unshared_ms, _ = run false in
+  let fired_s, joins_shared, advanced, shared_ms, beta, words = run true in
+  let fired_u, joins_unshared, _, unshared_ms, _, _ = run false in
   if fired_s <> fired_u then
     failwith
       (Printf.sprintf "composite bench: %d shared firings vs %d unshared" fired_s fired_u);
@@ -208,12 +216,15 @@ let comp_case ~kind ~overlap ~rules:n ~events:m =
     c_joins_unshared = joins_unshared;
     c_advanced = advanced;
     c_fed = beta "engine.rules_fed";
+    c_words = words;
     c_shared_ms = shared_ms;
     c_unshared_ms = unshared_ms;
   }
 
 let comp_ratio r =
   float_of_int r.c_joins_unshared /. float_of_int (max r.c_joins_shared 1)
+
+let words_per_rule r = float_of_int r.c_words /. float_of_int r.c_rules
 
 (* ---- construction: patterns that differ only in a deep constant ----
 
@@ -299,7 +310,7 @@ let run ~smoke () =
       [
         "kind"; "rules"; "overlap"; "events"; "nodes"; "regs"; "hit rate";
         "joins/ev shared"; "joins/ev unshared"; "ratio"; "advanced/adv"; "fed/ev";
-        "shared ms"; "unshared ms";
+        "words/rule"; "shared ms"; "unshared ms";
       ]
     (List.map
        (fun r ->
@@ -310,7 +321,8 @@ let run ~smoke () =
            Util.f1 (per_event r.c_joins_shared r.c_events);
            Util.f1 (per_event r.c_joins_unshared r.c_events);
            Util.f1 (comp_ratio r) ^ "x"; Util.f1 (per_event r.c_advanced r.c_events);
-           Util.f1 (per_event r.c_fed r.c_events); Util.f2 r.c_shared_ms;
+           Util.f1 (per_event r.c_fed r.c_events); Util.f1 (words_per_rule r);
+           Util.f2 r.c_shared_ms;
            Util.f2 r.c_unshared_ms;
          ])
        comp_rows);
@@ -355,6 +367,7 @@ let run ~smoke () =
                       ff "joins_per_event_unshared" (per_event r.c_joins_unshared r.c_events);
                       ff "rules_advanced_per_advance" (per_event r.c_advanced r.c_events);
                       ff "rules_fed_per_event_shared" (per_event r.c_fed r.c_events);
+                      ff "words_per_rule_shared" (words_per_rule r);
                       ff "sharing_ratio" (comp_ratio r); ff "shared_run_ms" r.c_shared_ms;
                       ff "unshared_run_ms" r.c_unshared_ms;
                     ])

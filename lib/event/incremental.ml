@@ -63,9 +63,10 @@ and kind =
 
 and shared_sub = {
   sub_matcher : subtree_matcher;
-  consumed : (int, unit) Hashtbl.t;
-      (** event ids this rule consumed; shared detections touching any
-          of them are filtered out of this rule's view *)
+  mutable consumed : (int, unit) Hashtbl.t option;
+      (** event ids this rule consumed, from its first consumption on;
+          shared detections touching any of them are filtered out of
+          this rule's view *)
 }
 
 and absent_state = {
@@ -135,17 +136,20 @@ let envelope_ok (a : Event_query.atomic) (e : Event.t) =
   | Some s -> String.equal s e.Event.sender
   | None -> true
 
-let rec build ?horizon ?share ?share_sub ~index ~ctx ~stored_bound ~key (q : Event_query.t)
-    : node =
-  let mk kind bound =
-    { store = Istore.create ~key:(if index then key else []); bound; kind }
-  in
-  let effective_bound =
-    match (stored_bound, horizon) with
-    | Some b, Some h -> Some (min b h)
-    | Some b, None -> Some b
-    | None, h -> h
-  in
+let rec build ?horizon ?share ?share_sub ~index ~ctx ~stored_bound ~key q : node =
+  {
+    store = Istore.create ~key:(if index then key else []);
+    bound =
+      (match (stored_bound, horizon) with
+      | Some b, Some h -> Some (min b h)
+      | Some b, None -> Some b
+      | None, h -> h);
+    kind = build_kind ?horizon ?share ?share_sub ~index ~ctx q;
+  }
+
+(* A node's operator without its store: the root has none, as nothing
+   reads its detections back. *)
+and build_kind ?horizon ?share ?share_sub ~index ~ctx (q : Event_query.t) : kind =
   let join_children qs =
     (* a child may be pruned by the window only if no sibling can hand
        it a late (timer-completed) join partner *)
@@ -174,11 +178,10 @@ let rec build ?horizon ?share ?share_sub ~index ~ctx ~stored_bound ~key (q : Eve
     | None, _ | _, Event_query.Atomic _ -> None
     | Some subscribe, _ ->
         subscribe ~ctx q
-        |> Option.map (fun sub_matcher ->
-               mk (NShared { sub_matcher; consumed = Hashtbl.create 8 }) effective_bound)
+        |> Option.map (fun sub_matcher -> NShared { sub_matcher; consumed = None })
   in
   match try_share () with
-  | Some node -> node
+  | Some kind -> kind
   | None -> (
   let compile_atomic (a : Event_query.atomic) : atom_matcher =
     match share with
@@ -193,65 +196,52 @@ let rec build ?horizon ?share ?share_sub ~index ~ctx ~stored_bound ~key (q : Eve
           end
   in
   match q with
-  | Event_query.Atomic a -> mk (NAtomic (compile_atomic a)) effective_bound
-  | Event_query.And qs -> mk (NAnd (join_children qs)) effective_bound
-  | Event_query.Seq qs -> mk (NSeq (join_children qs)) effective_bound
-  | Event_query.Or qs ->
-      mk (NOr (List.map (child ~ctx ~stored_bound:(Some 0)) qs)) effective_bound
+  | Event_query.Atomic a -> NAtomic (compile_atomic a)
+  | Event_query.And qs -> NAnd (join_children qs)
+  | Event_query.Seq qs -> NSeq (join_children qs)
+  | Event_query.Or qs -> NOr (List.map (child ~ctx ~stored_bound:(Some 0)) qs)
   | Event_query.Within (q, span) ->
       let inner_ctx = if Event_query.has_timers q then None else Some span in
-      mk (NWithin (child ~ctx:inner_ctx ~stored_bound:(Some 0) q, span)) effective_bound
+      NWithin (child ~ctx:inner_ctx ~stored_bound:(Some 0) q, span)
   | Event_query.Absent (q1, q2, span) ->
       (* the span bounds when blockers matter relative to the start's
          END — it does not bound the start's own joins (ctx inherits) *)
       let blocker_bound = if Event_query.has_timers q1 then None else Some span in
-      mk
-        (NAbsent
-           {
-             a_start = child ~ctx ~stored_bound:(Some 0) q1;
-             a_blocker =
-               child ~key:(inter_vars q1 q2) ~ctx ~stored_bound:blocker_bound q2;
-             a_span = span;
-             pending = [];
-           })
-        effective_bound
+      NAbsent
+        {
+          a_start = child ~ctx ~stored_bound:(Some 0) q1;
+          a_blocker = child ~key:(inter_vars q1 q2) ~ctx ~stored_bound:blocker_bound q2;
+          a_span = span;
+          pending = [];
+        }
   | Event_query.Times (n, q, span) ->
       let child_bound = if Event_query.has_timers q then None else Some span in
       let child_ctx = if Event_query.has_timers q then None else Some span in
-      mk
-        (NTimes
-           ( n,
-             child ~key:(Event_query.vars q) ~ctx:child_ctx ~stored_bound:child_bound q,
-             span ))
-        effective_bound
+      NTimes (n, child ~key:(Event_query.vars q) ~ctx:child_ctx ~stored_bound:child_bound q, span)
   | Event_query.Agg spec ->
-      mk
-        (NAgg
-           {
-             src = child ~ctx ~stored_bound:(Some 0) spec.Event_query.over;
-             acc_var = spec.Event_query.var;
-             acc_window = spec.Event_query.window;
-             acc_op = Some spec.Event_query.op;
-             acc_ratio = 1.;
-             acc_bind = spec.Event_query.bind;
-             src_vars = Event_query.vars spec.Event_query.over;
-             groups = KTbl.create 16;
-           })
-        effective_bound
+      NAgg
+        {
+          src = child ~ctx ~stored_bound:(Some 0) spec.Event_query.over;
+          acc_var = spec.Event_query.var;
+          acc_window = spec.Event_query.window;
+          acc_op = Some spec.Event_query.op;
+          acc_ratio = 1.;
+          acc_bind = spec.Event_query.bind;
+          src_vars = Event_query.vars spec.Event_query.over;
+          groups = KTbl.create 16;
+        }
   | Event_query.Rises spec ->
-      mk
-        (NRises
-           {
-             src = child ~ctx ~stored_bound:(Some 0) spec.Event_query.r_over;
-             acc_var = spec.Event_query.r_var;
-             acc_window = spec.Event_query.r_window;
-             acc_op = None;
-             acc_ratio = spec.Event_query.r_ratio;
-             acc_bind = spec.Event_query.r_bind;
-             src_vars = Event_query.vars spec.Event_query.r_over;
-             groups = KTbl.create 16;
-           })
-        effective_bound)
+      NRises
+        {
+          src = child ~ctx ~stored_bound:(Some 0) spec.Event_query.r_over;
+          acc_var = spec.Event_query.r_var;
+          acc_window = spec.Event_query.r_window;
+          acc_op = None;
+          acc_ratio = spec.Event_query.r_ratio;
+          acc_bind = spec.Event_query.r_bind;
+          src_vars = Event_query.vars spec.Event_query.r_over;
+          groups = KTbl.create 16;
+        })
 
 (* ---- joins ---------------------------------------------------------- *)
 
@@ -502,8 +492,8 @@ let acc_feed st fresh =
    the clock has already advanced past its time (repeated timestamps,
    an [advance_to] between feeds) must still find the partners that
    were live at ITS time, not at the clock's. *)
-let rec fresh_of ~index node input ~now : Instance.t list =
-  match node.kind with
+let rec fresh_of ~index kind input ~now : Instance.t list =
+  match kind with
   | NAtomic matcher -> (
       match input with
       | Now _ -> []
@@ -518,11 +508,10 @@ let rec fresh_of ~index node input ~now : Instance.t list =
           []
       | Ev e ->
           let out = st.sub_matcher e in
-          if Hashtbl.length st.consumed = 0 then out
-          else
-            List.filter
-              (fun i -> not (List.exists (Hashtbl.mem st.consumed) i.Instance.ids))
-              out)
+          match st.consumed with
+          | None -> out
+          | Some consumed ->
+              List.filter (fun i -> not (List.exists (Hashtbl.mem consumed) i.Instance.ids)) out)
   | NAnd children -> join_children ~index ~ordered:false children input ~now
   | NSeq children -> join_children ~index ~ordered:true children input ~now
   | NOr children ->
@@ -531,7 +520,7 @@ let rec fresh_of ~index node input ~now : Instance.t list =
       List.filter (fun i -> Instance.span i <= span) (step ~index child input ~now)
   | NAbsent st ->
       let fresh_starts = step ~index st.a_start input ~now in
-      let fresh_blockers = fresh_of ~index st.a_blocker input ~now in
+      let fresh_blockers = fresh_of ~index st.a_blocker.kind input ~now in
       let blocks i1 deadline i2 =
         Instance.strictly_before i1 i2
         && i2.Instance.t_start <= deadline
@@ -575,7 +564,7 @@ let rec fresh_of ~index node input ~now : Instance.t list =
         done_
       |> Instance.dedup
   | NTimes (n, child, span) ->
-      let fresh = fresh_of ~index child input ~now in
+      let fresh = fresh_of ~index child.kind input ~now in
       let out = times_fresh ~index n span child fresh in
       prune child now;
       Istore.add_list child.store fresh;
@@ -585,7 +574,7 @@ let rec fresh_of ~index node input ~now : Instance.t list =
       Instance.dedup (acc_feed st fresh)
 
 and join_children ~index ~ordered children input ~now =
-  let pairs = List.map (fun c -> (c, fresh_of ~index c input ~now)) children in
+  let pairs = List.map (fun c -> (c, fresh_of ~index c.kind input ~now)) children in
   let out = join_fresh ~index ~ordered pairs in
   List.iter
     (fun (c, fr) ->
@@ -596,7 +585,7 @@ and join_children ~index ~ordered children input ~now =
 
 and step ~index node input ~now =
   prune node now;
-  let fresh = fresh_of ~index node input ~now in
+  let fresh = fresh_of ~index node.kind input ~now in
   Istore.add_list node.store fresh;
   fresh
 
@@ -637,7 +626,7 @@ let time_sensitive ?horizon q =
 (* ---- engine --------------------------------------------------------- *)
 
 type t = {
-  root : node;
+  root : kind;
   consume : bool;
   selection : selection;
   index : bool;
@@ -652,9 +641,7 @@ let create ?(consume = false) ?(selection = Each) ?horizon ?(index = true) ?shar
   | Ok () ->
       Ok
         {
-          root =
-            build ?horizon ?share ?share_sub ~index ~ctx:None ~stored_bound:(Some 0)
-              ~key:[] q;
+          root = build_kind ?horizon ?share ?share_sub ~index ~ctx:None q;
           consume;
           selection;
           index;
@@ -676,7 +663,7 @@ let create_exn ?consume ?selection ?horizon ?index ?share ?share_sub q =
    an already-validated rule query, so validation is skipped. *)
 let create_sub ?horizon ?(index = true) ?share ~ctx q =
   {
-    root = build ?horizon ?share ~index ~ctx ~stored_bound:(Some 0) ~key:[] q;
+    root = build_kind ?horizon ?share ~index ~ctx q;
     consume = false;
     selection = Each;
     index;
@@ -684,22 +671,32 @@ let create_sub ?horizon ?(index = true) ?share ~ctx q =
     clock = Clock.origin;
   }
 
-let rec purge_ids node ids =
+let rec purge_ids kind ids =
   let untouched i = not (List.exists (fun id -> List.mem id ids) i.Instance.ids) in
-  Istore.filter_inplace untouched node.store;
-  match node.kind with
+  let purge node =
+    Istore.filter_inplace untouched node.store;
+    purge_ids node.kind ids
+  in
+  match kind with
   | NAtomic _ -> ()
   | NShared st ->
       (* never purge the shared pipeline (other subscribers may not
          consume); remember the ids and filter this rule's view *)
-      List.iter (fun id -> Hashtbl.replace st.consumed id ()) ids
-  | NAnd cs | NOr cs | NSeq cs -> List.iter (fun c -> purge_ids c ids) cs
-  | NWithin (c, _) -> purge_ids c ids
-  | NTimes (_, c, _) -> purge_ids c ids
+      let consumed =
+        match st.consumed with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.create 8 in
+            st.consumed <- Some c;
+            c
+      in
+      List.iter (fun id -> Hashtbl.replace consumed id ()) ids
+  | NAnd cs | NOr cs | NSeq cs -> List.iter purge cs
+  | NWithin (c, _) | NTimes (_, c, _) -> purge c
   | NAbsent st ->
       st.pending <- List.filter (fun (_, i) -> untouched i) st.pending;
-      purge_ids st.a_start ids;
-      purge_ids st.a_blocker ids
+      purge st.a_start;
+      purge st.a_blocker
   | NAgg st | NRises st ->
       KTbl.filter_map_inplace
         (fun _ entries ->
@@ -707,7 +704,7 @@ let rec purge_ids node ids =
           | [] -> None
           | kept -> Some kept)
         st.groups;
-      purge_ids st.src ids
+      purge st.src
 
 let select_and_consume t detections =
   let picked =
@@ -734,8 +731,8 @@ let select_and_consume t detections =
       [] picked
     |> List.rev
 
-(* The root is nobody's child, so nothing would ever read its store:
-   [fresh_of], not [step], keeps it empty. *)
+(* The root is nobody's child, so it has no store: [fresh_of], not
+   [step]. *)
 let feed t e =
   if Event.time e > t.clock then t.clock <- Event.time e;
   let detections = fresh_of ~index:t.index t.root (Ev e) ~now:t.clock in
@@ -748,20 +745,17 @@ let advance_to t time =
 
 let observes_time t = t.observes_time
 
-let rec count_node node =
-  let own = Istore.length node.store in
-  match node.kind with
-  | NAtomic _ -> own
-  | NShared _ -> own (* the shared pipeline's state is Beta's to report *)
-  | NAnd cs | NOr cs | NSeq cs -> List.fold_left (fun acc c -> acc + count_node c) own cs
-  | NWithin (c, _) | NTimes (_, c, _) -> own + count_node c
-  | NAbsent st -> own + List.length st.pending + count_node st.a_start + count_node st.a_blocker
+let rec count_kind = function
+  | NAtomic _ | NShared _ -> 0 (* the shared pipeline's state is Beta's to report *)
+  | NAnd cs | NOr cs | NSeq cs -> List.fold_left (fun acc c -> acc + count_node c) 0 cs
+  | NWithin (c, _) | NTimes (_, c, _) -> count_node c
+  | NAbsent st -> List.length st.pending + count_node st.a_start + count_node st.a_blocker
   | NAgg st | NRises st ->
-      own
-      + KTbl.fold (fun _ entries acc -> acc + List.length entries) st.groups 0
-      + count_node st.src
+      KTbl.fold (fun _ entries acc -> acc + List.length entries) st.groups 0 + count_node st.src
 
-let live_instances t = count_node t.root
+and count_node node = Istore.length node.store + count_kind node.kind
+
+let live_instances t = count_kind t.root
 
 (* ---- join observability --------------------------------------------- *)
 
@@ -788,16 +782,16 @@ let add_join_stats acc store =
     keyed_nodes = (acc.keyed_nodes + if Istore.key store = [] then 0 else 1);
   }
 
-let rec node_join_stats acc node =
-  let acc = add_join_stats acc node.store in
-  match node.kind with
+let rec kind_join_stats acc = function
   | NAtomic _ | NShared _ -> acc
   | NAnd cs | NOr cs | NSeq cs -> List.fold_left node_join_stats acc cs
   | NWithin (c, _) | NTimes (_, c, _) -> node_join_stats acc c
   | NAbsent st -> node_join_stats (node_join_stats acc st.a_start) st.a_blocker
   | NAgg st | NRises st -> node_join_stats acc st.src
 
-let join_stats t = node_join_stats zero_join_stats t.root
+and node_join_stats acc node = kind_join_stats (add_join_stats acc node.store) node.kind
+
+let join_stats t = kind_join_stats zero_join_stats t.root
 
 let sum_join_stats l =
   List.fold_left
@@ -815,19 +809,14 @@ let sum_join_stats l =
 let min_opt a b =
   match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (min x y)
 
-let rec node_deadline node =
-  match node.kind with
+let rec deadline = function
   | NAtomic _ | NShared _ -> None (* shared subtrees are timerless by construction *)
   | NAnd cs | NOr cs | NSeq cs ->
-      List.fold_left (fun acc c -> min_opt acc (node_deadline c)) None cs
-  | NWithin (c, _) | NTimes (_, c, _) -> node_deadline c
+      List.fold_left (fun acc c -> min_opt acc (deadline c.kind)) None cs
+  | NWithin (c, _) | NTimes (_, c, _) -> deadline c.kind
   | NAbsent st ->
-      let own =
-        List.fold_left
-          (fun acc (deadline, _) -> min_opt acc (Some deadline))
-          None st.pending
-      in
-      min_opt own (min_opt (node_deadline st.a_start) (node_deadline st.a_blocker))
-  | NAgg st | NRises st -> node_deadline st.src
+      let own = List.fold_left (fun acc (d, _) -> min_opt acc (Some d)) None st.pending in
+      min_opt own (min_opt (deadline st.a_start.kind) (deadline st.a_blocker.kind))
+  | NAgg st | NRises st -> deadline st.src.kind
 
-let next_deadline t = node_deadline t.root
+let next_deadline t = deadline t.root

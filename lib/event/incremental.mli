@@ -75,9 +75,10 @@ val create :
     the nearest enclosing window operator (it decides internal pruning
     bounds, so it is part of the sharing key).  [Some matcher] replaces
     the whole subtree with a thin projection over the shared pipeline —
-    the rule keeps only its parent-facing store and consumption
-    bookkeeping (consumed detections are filtered from the shared
-    output by event id rather than purged from the shared stores);
+    the rule keeps only its parent-facing store (none at the root) and
+    consumption bookkeeping, created at its first consumption (consumed
+    detections are filtered from the shared output by event id rather
+    than purged from the shared stores);
     [None] falls through to the private compilation, recursing into
     children.
 
@@ -139,7 +140,7 @@ val observes_time : t -> bool
 val live_instances : t -> int
 (** Number of stored partial matches across all operators (plus pending
     absences and accumulation buffer entries) — the memory proxy
-    reported by E4.  The root operator stores nothing: it has no parent
+    reported by E4.  The root operator has no store: it has no parent
     to read its detections back. *)
 
 val next_deadline : t -> Clock.time option

@@ -7,26 +7,21 @@
      equal; the table lives as long as the engine that owns it;
    - the memo caches pure (pattern, payload) results keyed by event id,
      so serving from it is indistinguishable from re-evaluating;
-   - the memo is a bounded LRU: a burst of fresh event ids past the cap
-     evicts only the coldest entries, so the warm ids of an engine
-     batch keep hitting (pinned by test_alpha's retention test — the
-     old reset-on-cap wipe discarded them all). *)
+   - the memo lives one engine batch, as Beta's does: [begin_batch]
+     opens a new generation and a node drops an older generation's
+     entries at its next use, so no result outlives the batch that
+     computed it — an event id reused by a later batch is evaluated
+     afresh. *)
 
 open Xchange_query
 open Xchange_event
 open Xchange_obs
 
-(* Within one engine batch an event reaches its subscribers back to
-   back, so a handful of entries suffice; the cap only matters when
-   event derivation interleaves many fresh ids. *)
-let memo_cap = 64
-
-module Memo = Lru.Make (Int)
-
 type node = {
   atom : Event_query.atomic;
   payload_matches : Xchange_data.Term.t -> Subst.set;
-  memo : Subst.set Memo.t;  (* event id -> substitutions *)
+  memo : (int, Subst.set) Hashtbl.t;  (* event id -> substitutions, valid for [gen] only *)
+  mutable gen : int;  (* generation the memo belongs to; -1 = never used *)
 }
 
 module Atoms = Hashtbl.Make (struct
@@ -40,6 +35,7 @@ type t = {
   nodes : node Atoms.t;
   m : Obs.Metrics.t;
   mutable registrations : int;
+  mutable generation : int;
   mutable evaluations : int;
   mutable hits : int;
   mutable fanout : int;
@@ -48,7 +44,15 @@ type t = {
 let create ?metrics () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
-    { nodes = Atoms.create 64; m; registrations = 0; evaluations = 0; hits = 0; fanout = 0 }
+    {
+      nodes = Atoms.create 64;
+      m;
+      registrations = 0;
+      generation = 0;
+      evaluations = 0;
+      hits = 0;
+      fanout = 0;
+    }
   in
   Obs.Metrics.gauge_fn m "alpha.nodes" (fun () -> float_of_int (Atoms.length t.nodes));
   Obs.Metrics.gauge_fn m "alpha.registrations" (fun () -> float_of_int t.registrations);
@@ -58,6 +62,7 @@ let create ?metrics () =
   t
 
 let metrics t = t.m
+let begin_batch t = t.generation <- t.generation + 1
 
 let node t atom =
   match Atoms.find_opt t.nodes atom with
@@ -67,7 +72,8 @@ let node t atom =
         {
           atom;
           payload_matches = Simulate.matcher atom.Event_query.pattern;
-          memo = Memo.create ~cap:memo_cap;
+          memo = Hashtbl.create 8;
+          gen = -1;
         }
       in
       Atoms.add t.nodes atom n;
@@ -79,8 +85,12 @@ let subscribe t atom : Incremental.atom_matcher =
   fun e ->
     if not (Incremental.envelope_ok node.atom e) then []
     else begin
+      if node.gen <> t.generation then begin
+        Hashtbl.reset node.memo;
+        node.gen <- t.generation
+      end;
       let substs =
-        match Memo.find node.memo e.Event.id with
+        match Hashtbl.find_opt node.memo e.Event.id with
         | Some r ->
             t.hits <- t.hits + 1;
             r
@@ -88,7 +98,7 @@ let subscribe t atom : Incremental.atom_matcher =
             t.evaluations <- t.evaluations + 1;
             Incremental.note_atomic_run ();
             let r = node.payload_matches e.Event.payload in
-            Memo.add node.memo e.Event.id r;
+            Hashtbl.add node.memo e.Event.id r;
             r
       in
       t.fanout <- t.fanout + List.length substs;

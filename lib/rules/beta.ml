@@ -48,7 +48,7 @@ type t = {
   m : Obs.Metrics.t;
   horizon : Clock.span option;
   index : bool;
-  share_atoms : (Event_query.atomic -> Incremental.atom_matcher) option;
+  alpha : Alpha.t option;
   mutable registrations : int;
   mutable generation : int;
   mutable steps : int;
@@ -64,7 +64,7 @@ let join_stats t =
 let live_instances t =
   Keys.fold (fun _ n acc -> acc + Incremental.live_instances n.pipe) t.nodes 0
 
-let create ?metrics ?horizon ?(index = true) ?share_atoms () =
+let create ?metrics ?horizon ?(index = true) ?alpha () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
     {
@@ -72,7 +72,7 @@ let create ?metrics ?horizon ?(index = true) ?share_atoms () =
       m;
       horizon;
       index;
-      share_atoms;
+      alpha;
       registrations = 0;
       generation = 0;
       steps = 0;
@@ -92,7 +92,9 @@ let create ?metrics ?horizon ?(index = true) ?share_atoms () =
 
 let metrics t = t.m
 
-let begin_batch t = t.generation <- t.generation + 1
+let begin_batch t =
+  Option.iter Alpha.begin_batch t.alpha;
+  t.generation <- t.generation + 1
 
 (* Shared evaluation must be observationally identical to the private
    compilation it replaces; decline anything where it is not:
@@ -126,8 +128,8 @@ let node t ((cq, ctx) as key) =
         {
           id = Keys.length t.nodes;
           pipe =
-            Incremental.create_sub ?horizon:t.horizon ~index:t.index ?share:t.share_atoms
-              ~ctx cq;
+            Incremental.create_sub ?horizon:t.horizon ~index:t.index
+              ?share:(Option.map Alpha.subscribe t.alpha) ~ctx cq;
           memo = Hashtbl.create 8;
           gen = -1;
         }

@@ -38,13 +38,16 @@
     window-bounded pruning only affects memory because windows are also
     enforced by span checks at detection time).
 
-    {b Batches.}  {!Xchange_rules.Engine} calls {!begin_batch} at each
-    entry point; within a batch a node's pipeline is stepped exactly
-    once per event, by whoever asks first — a derivation rule, as those
-    are fed first; the engine's dispatch, for a node that is some
-    rule's whole event query (a {e terminal} node, see {!detects}); or
-    the first rule fed that holds the subtree — and later askers are
-    served from the generation memo.  Dispatch that reaches a node, or
+    {b Batches.}  {!Xchange_rules.Engine} calls {!begin_batch} once per
+    batch — an event with what the derivation rules derive from it, or
+    a clock advance — and that one call opens the {!Alpha} memo's
+    generation too, so neither shared network holds a result past the
+    batch that computed it.  Within a batch a node's pipeline is
+    stepped exactly once per event, by whoever asks first — a
+    derivation rule, as those are fed first; the engine's dispatch, for
+    a node that is some rule's whole event query (a {e terminal} node,
+    see {!detects}); or the first rule fed that holds the subtree — and
+    later askers are served from the generation memo.  Dispatch that reaches a node, or
     any rule holding it, steps it on every event of the batch, in batch
     order, so the pipeline observes every relevant event exactly once,
     which is what makes the memo sound.  A terminal node's rules are
@@ -73,21 +76,21 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?horizon:Clock.span ->
   ?index:bool ->
-  ?share_atoms:(Event_query.atomic -> Incremental.atom_matcher) ->
+  ?alpha:Alpha.t ->
   unit ->
   t
 (** [metrics] registers the [beta.*] cells below in an existing
     registry (e.g. the owning engine's) instead of a private one.
     [horizon] and [index] must match the subscribing engines' settings
-    (they shape the pipelines); [share_atoms] is the alpha network's
-    {!Alpha.subscribe}, so shared pipelines share atomic evaluation
-    too. *)
+    (they shape the pipelines); [alpha] is the network the pipelines'
+    atoms subscribe in ({!Alpha.subscribe}), so shared pipelines share
+    atomic evaluation too. *)
 
 val begin_batch : t -> unit
-(** Open a new memo generation.  Must be called once per engine entry
-    point (event batch or clock advance) before any subscriber matcher
-    runs; stale memo entries from the previous batch are invalidated
-    lazily per node. *)
+(** Open a new memo generation, here and in [alpha]'s memo.  Must be
+    called once per engine batch (an event batch or a clock advance)
+    before any subscriber matcher runs; stale memo entries from the
+    previous batch are invalidated lazily per node. *)
 
 val subscribe :
   t -> ctx:Clock.span option -> Event_query.t -> (node * Incremental.subtree_matcher) option

@@ -29,21 +29,23 @@ type cells = {
   c_conditions : Obs.Metrics.Counter.t;
 }
 
+(* A rule's dispatch key is its index among the ECA rules, or
+   [Array.length compiled + j] for derivation rule [j]. *)
 type t = {
   root : Ruleset.t;
   compiled : compiled array;  (** in declaration order *)
   clocked : int list;
-      (** rules that see every input, ascending: those whose engine
-          {!Incremental.observes_time} (absence timers, horizon-pruned
-          or accumulated join state) *)
+      (** the keys of the rules that see every input, ascending: those
+          whose engine {!Incremental.observes_time} (absence timers,
+          horizon-pruned or accumulated join state), and every rule on
+          the full scan *)
   derivers : deriver array;  (** the event-derivation rules, in stratum order *)
   sub : int Sub_index.t option;
       (** dispatch keys registered by (label, payload fingerprint): the
-          atoms of every non-terminal rule [i] under [i], those of
-          every terminal node under [-1 - Beta.id], and those of
-          derivation rule [j] under [Array.length compiled + j];
-          [Some] iff [index] — dispatch then refutes rules whose atom
-          patterns cannot match the payload; [None] reaches every rule *)
+          atoms of every non-terminal rule under its key and those of
+          every terminal node under [-1 - Beta.id]; [Some] iff [index]
+          — dispatch then refutes rules whose atom patterns cannot
+          match the payload; [None] reaches every rule, all clocked *)
   terminals : terminal Int_map.t;
       (** by [Beta.id]; empty (and unallocated) when no rule is
           terminal, as on the full scan and without sharing *)
@@ -65,18 +67,24 @@ type t = {
   c : cells;
 }
 
+(* the engine of the rule with dispatch key [k] *)
+let rule_engine compiled derivers k =
+  let n = Array.length compiled in
+  if k < n then compiled.(k).engine else derivers.(k - n).trigger
+
 (* every rule's engine, ECA rules then derivation rules *)
 let engines t =
-  Array.append (Array.map (fun cr -> cr.engine) t.compiled)
-    (Array.map (fun d -> d.trigger) t.derivers)
+  List.init
+    (Array.length t.compiled + Array.length t.derivers)
+    (rule_engine t.compiled t.derivers)
 
 let join_stats t =
   Incremental.sum_join_stats
     ((match t.beta with Some b -> Beta.join_stats b | None -> Incremental.zero_join_stats)
-    :: Array.to_list (Array.map Incremental.join_stats (engines t)))
+    :: List.map Incremental.join_stats (engines t))
 
 let live_instances t =
-  Array.fold_left (fun acc e -> acc + Incremental.live_instances e) 0 (engines t)
+  List.fold_left (fun acc e -> acc + Incremental.live_instances e) 0 (engines t)
   + match t.beta with Some b -> Beta.live_instances b | None -> 0
 
 let ( let* ) = Result.bind
@@ -131,11 +139,7 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
      derivation rules' included, register in it, so an event is joined
      once per distinct subtree whatever the rule count.  Its pipelines
      share atoms through the same alpha network. *)
-  let beta =
-    if share then
-      Some (Beta.create ~metrics:m ?horizon ~index ?share_atoms:share_hook ())
-    else None
-  in
+  let beta = Option.map (fun alpha -> Beta.create ~metrics:m ?horizon ~index ~alpha ()) alpha in
   (* [Incremental.create] offers a composite root to the hook first, and
      a shared root ends its compilation: the last node subscribed is the
      rule's terminal node — the node dispatch reaches the rule through —
@@ -197,8 +201,8 @@ let create ?horizon ?(index = not Xchange_core.Escape.no_subindex)
   let compiled = Array.of_list (List.map fst built) in
   let clocked =
     List.filter
-      (fun i -> Incremental.observes_time compiled.(i).engine)
-      (List.init (Array.length compiled) Fun.id)
+      (fun k -> (not index) || Incremental.observes_time (rule_engine compiled derivers k))
+      (List.init (Array.length compiled + Array.length derivers) Fun.id)
   in
   let proc_conds =
     List.concat_map
@@ -367,76 +371,105 @@ let rec activate t beta batch = function
       if detected then merge_sorted visit tm.subscribers else visit
   | rules -> rules
 
-(* The rules that see a batch of events, ascending (= declaration order,
-   so firings come out exactly as the full scan produced them): the
-   clocked rules, every non-terminal rule some event of the batch can
-   reach, and the subscribers of every terminal node that detected
-   something.  Each of them gets the whole batch, as under the full
-   scan.  Every other rule would see only events its atoms cannot match
-   or its node turned into nothing, and its engine does not observe
-   time, so feeding it would change nothing.  Without the sub-index
-   every batch reaches every rule: the full scan. *)
-let reached t batch =
-  match t.sub with
-  | Some sub -> (
-      let keys =
-        List.fold_left (fun acc ev -> merge_sorted acc (candidates sub ev)) t.clocked batch
-      in
-      let n = Array.length t.compiled in
-      let keys = if Array.length t.derivers = 0 then keys else List.filter (fun k -> k < n) keys in
-      match (keys, t.beta) with
-      | k :: _, Some beta when k < 0 -> activate t beta batch keys
-      | _ -> keys)
-  | None -> List.init (Array.length t.compiled) Fun.id
+let detect ~ops cr ev =
+  let detections = Incremental.feed cr.engine ev in
+  if Obs.enabled () && detections <> [] then
+    ignore
+      (Obs.Trace.instant ~cat:"rule"
+         ~args:[ ("rule", cr.qualified); ("count", string_of_int (List.length detections)) ]
+         ~name:"detect" ~vt:(ops.Action.now ()) ());
+  detections
 
-(* The derivation rules, in stratum order, over a batch whose events so
-   far are [inputs] ([time]: a clock advance).  A rule the batch so far
-   reaches is advanced if it is clocked, then fed it; each detection
-   derives an event for the later strata, or a payload error.  Returns
-   both in an outcome accumulator. *)
-let derive t ?time inputs =
-  let keys evs = match t.sub with Some sub -> List.concat_map (candidates sub) evs | None -> [] in
-  let rec stratum j inputs reach acc =
-    if j = Array.length t.derivers then acc
-    else
-      let d = t.derivers.(j) in
-      let clocked = (not t.index) || Incremental.observes_time d.trigger in
-      if not (clocked || List.mem (Array.length t.compiled + j) reach) then begin
-        Obs.Metrics.Counter.incr t.c.c_skipped;
-        stratum (j + 1) inputs reach acc
-      end
-      else begin
-        Obs.Metrics.Counter.incr ~by:(List.length inputs) t.c.c_fed;
-        let timed =
-          match time with
-          | Some time when clocked ->
-              Obs.Metrics.Counter.incr t.c.c_advanced;
-              Incremental.advance_to d.trigger time
-          | _ -> []
-        in
-        let { Deductive_event.name; derived_label; payload; _ } = d.spec in
-        let derived, errors =
-          List.partition_map
-            (fun (i : Instance.t) ->
-              match Construct.instantiate payload i.Instance.subst [ i.Instance.subst ] with
-              | Error e -> Either.Right (name, e)
-              | Ok payload ->
-                  let id = Option.map (fun f -> f ()) t.fresh_event_id in
-                  Either.Left
-                    (Event.make ?id ~sender:("derived:" ^ name) ~occurred_at:i.Instance.t_end
-                       ~label:derived_label payload))
-            (timed @ List.concat_map (Incremental.feed d.trigger) inputs)
-        in
-        stratum (j + 1) (inputs @ derived) (keys derived @ reach)
-          {
-            acc with
-            derived_events = acc.derived_events @ derived;
-            errors = List.rev_append errors acc.errors;
-          }
-      end
+(* One batch: the [inputs] (the handled event, or none on a clock
+   advance to [time]) and what the derivation rules derive from them.
+   Each event is looked up in the sub-index once, and its keys serve
+   the derivation strata and the ECA rules alike.  A rule is reached by
+   the batch so far when its key is among [keys]: the clocked rules',
+   the candidates of the batch's events, and (for an ECA rule) the
+   subscribers of every terminal node that detected something.  Every
+   other rule would see only events its atoms cannot match or its node
+   turned into nothing, and its engine does not observe time, so
+   feeding it would change nothing.  The ECA rules are visited in
+   ascending order (= declaration order, so firings come out exactly as
+   the full scan produced them), each fed the whole batch.  On an
+   advance a clocked rule's clock moves too: a derivation rule's before
+   it is fed, an ECA rule's after, its timer detections firing first.
+   The ECA rules count in [engine.dispatch_lookups], [rules_fed] and
+   [rules_skipped] on event batches only; the derivation rules on both. *)
+let run t ~env ~ops ?time inputs =
+  (* one memo generation per batch for both shared networks: the first
+     subscriber an event reaches evaluates it, the rest hit the memo *)
+  Option.iter Beta.begin_batch t.beta;
+  let n = Array.length t.compiled in
+  let lookup keys evs =
+    match t.sub with
+    | Some sub -> List.fold_left (fun acc ev -> merge_sorted acc (candidates sub ev)) keys evs
+    | None -> keys
   in
-  if Array.length t.derivers = 0 then empty_outcome
-  else stratum 0 inputs (keys inputs) empty_outcome
+  let tick engine time =
+    Obs.Metrics.Counter.incr t.c.c_advanced;
+    Incremental.advance_to engine time
+  in
+  (* each detection of a derivation rule derives an event for the later
+     strata and the ECA rules, or a payload error *)
+  let rec derive j batch keys acc =
+    if j = Array.length t.derivers then (batch, keys, acc)
+    else if not (List.mem (n + j) keys) then begin
+      Obs.Metrics.Counter.incr t.c.c_skipped;
+      derive (j + 1) batch keys acc
+    end
+    else begin
+      let d = t.derivers.(j) in
+      Obs.Metrics.Counter.incr ~by:(List.length batch) t.c.c_fed;
+      let timed =
+        match time with Some time when List.mem (n + j) t.clocked -> tick d.trigger time | _ -> []
+      in
+      let { Deductive_event.name; derived_label; payload; _ } = d.spec in
+      let derived, errors =
+        List.partition_map
+          (fun (i : Instance.t) ->
+            match Construct.instantiate payload i.Instance.subst [ i.Instance.subst ] with
+            | Error e -> Either.Right (name, e)
+            | Ok payload ->
+                let id = Option.map (fun f -> f ()) t.fresh_event_id in
+                Either.Left
+                  (Event.make ?id ~sender:("derived:" ^ name) ~occurred_at:i.Instance.t_end
+                     ~label:derived_label payload))
+          (timed @ List.concat_map (Incremental.feed d.trigger) batch)
+      in
+      derive (j + 1) (batch @ derived) (lookup keys derived)
+        {
+          acc with
+          derived_events = acc.derived_events @ derived;
+          errors = List.rev_append errors acc.errors;
+        }
+    end
+  in
+  let batch, keys, acc = derive 0 inputs (lookup t.clocked inputs) empty_outcome in
+  (* [clocked] walks [t.clocked] alongside the ECA rules visited, which
+     include every clocked one *)
+  let rec dispatch clocked fed acc = function
+    | i :: rest when i < n ->
+        let cr = t.compiled.(i) in
+        let detections = List.fold_left (fun acc ev -> acc @ detect ~ops cr ev) [] batch in
+        let timed, clocked =
+          match clocked with
+          | k :: ks when k = i -> (Option.fold ~none:[] ~some:(tick cr.engine) time, ks)
+          | _ -> ([], clocked)
+        in
+        dispatch clocked (fed + 1) (fire_detections t ~env ~ops cr (timed @ detections) acc) rest
+    | _ -> (fed, acc)
+  in
+  let fed, acc =
+    dispatch t.clocked 0 acc
+      (match t.beta with Some beta -> activate t beta batch keys | None -> keys)
+  in
+  if Option.is_none time then begin
+    Obs.Metrics.Counter.incr t.c.c_lookups;
+    Obs.Metrics.Counter.incr ~by:(fed * List.length batch) t.c.c_fed;
+    Obs.Metrics.Counter.incr ~by:(n - fed) t.c.c_skipped
+  end;
+  finish acc
 
 let handle_event t ~env ~ops event =
   Obs.Metrics.Counter.incr t.c.c_seen;
@@ -449,36 +482,7 @@ let handle_event t ~env ~ops event =
           ~name:"event" ~vt:(ops.Action.now ()) ()
       else 0
     in
-    (* one beta memo generation per batch: the first subscriber an
-       event reaches steps the shared pipeline, the rest hit the memo *)
-    Option.iter Beta.begin_batch t.beta;
-    let derived = derive t [ event ] in
-    let batch = event :: derived.derived_events in
-    let visit = reached t batch in
-    Obs.Metrics.Counter.incr t.c.c_lookups;
-    Obs.Metrics.Counter.incr ~by:(List.length visit * List.length batch) t.c.c_fed;
-    Obs.Metrics.Counter.incr ~by:(Array.length t.compiled - List.length visit) t.c.c_skipped;
-    let acc =
-      List.fold_left
-        (fun acc i ->
-          let cr = t.compiled.(i) in
-          List.fold_left
-            (fun acc ev ->
-              let detections = Incremental.feed cr.engine ev in
-              if Obs.enabled () && detections <> [] then
-                ignore
-                  (Obs.Trace.instant ~cat:"rule"
-                     ~args:
-                       [
-                         ("rule", cr.qualified);
-                         ("count", string_of_int (List.length detections));
-                       ]
-                     ~name:"detect" ~vt:(ops.Action.now ()) ());
-              fire_detections t ~env ~ops cr detections acc)
-            acc batch)
-        derived visit
-    in
-    let out = finish acc in
+    let out = run t ~env ~ops [ event ] in
     (if span <> 0 then
        Obs.Trace.end_span span ~vt:(ops.Action.now ())
          ~args:
@@ -489,31 +493,7 @@ let handle_event t ~env ~ops event =
     out
   end
 
-(* A bare clock advance moves only the clocked rules (every rule on the
-   full scan); the events the derivation rules derive on it reach their
-   candidates through the same path as [handle_event].  A reached ECA
-   rule is fed the derived events before its clock moves, and its timer
-   detections fire first. *)
-let advance t ~env ~ops time =
-  Option.iter Beta.begin_batch t.beta;
-  let acc = derive t ~time [] in
-  let derived = acc.derived_events in
-  let acc =
-    List.fold_left
-      (fun acc i ->
-        let cr = t.compiled.(i) in
-        let fed = List.concat_map (fun ev -> Incremental.feed cr.engine ev) derived in
-        let timed =
-          if t.index && not (Incremental.observes_time cr.engine) then []
-          else begin
-            Obs.Metrics.Counter.incr t.c.c_advanced;
-            Incremental.advance_to cr.engine time
-          end
-        in
-        fire_detections t ~env ~ops cr (timed @ fed) acc)
-      acc (reached t derived)
-  in
-  finish acc
+let advance t ~env ~ops time = run t ~env ~ops ~time []
 
 let load_ruleset t incoming =
   let merged = { t.root with Ruleset.children = t.root.Ruleset.children @ [ incoming ] } in
@@ -529,12 +509,9 @@ let clocked_remote_resources t = t.clocked_remote_deps
 let min_opt a b =
   match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (min x y)
 
-(* only the clocked ECA rules and the derivation rules can hold a
-   deadline: the other rules have no timers *)
+(* only the clocked rules can hold a deadline: the other rules have no
+   timers *)
 let next_deadline t =
-  Array.fold_left
-    (fun acc d -> min_opt acc (Incremental.next_deadline d.trigger))
-    (List.fold_left
-       (fun acc i -> min_opt acc (Incremental.next_deadline t.compiled.(i).engine))
-       None t.clocked)
-    t.derivers
+  List.fold_left
+    (fun acc k -> min_opt acc (Incremental.next_deadline (rule_engine t.compiled t.derivers k)))
+    None t.clocked

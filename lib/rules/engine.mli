@@ -34,7 +34,7 @@ val create :
     whose label {e and} payload fingerprint it can satisfy, plus the
     rules whose engine observes time ({!Incremental.observes_time}:
     absence timers, horizon-pruned or accumulated join state).  Such
-    {e clocked} rules see every input.  A {e terminal} ECA rule — one
+    {e clocked} rules, ECA and derivation alike, see every input.  A {e terminal} ECA rule — one
     whose whole event query the {!Beta} network shares as one node — is
     reached through its node instead (Rete's terminal-node activation):
     the node's atoms are registered once for all its rules, the node is
@@ -42,9 +42,9 @@ val create :
     rules are fed only when it detected something in the batch, so the
     work per event follows detections, not subscribers.  The other
     path, selected by [~index:false], is the oracle, the full scan:
-    every event batch and every clock advance reaches every rule, and
-    the inner engines join with nested loops instead of
-    hash-partitioned join stores.  Outcomes are identical on both paths
+    every rule is clocked, so every event batch and every clock advance
+    reaches every rule, and the inner engines join with nested loops
+    instead of hash-partitioned join stores.  Outcomes are identical on both paths
     (property-tested); use the oracle only for that comparison.
     [index] defaults to true unless [XCHANGE_NO_SUBINDEX=1] is set; an
     explicit [~index] wins.
@@ -85,20 +85,23 @@ type outcome = {
 
 val handle_event : t -> env:Condition.env -> ops:Action.ops -> Event.t -> outcome
 (** Feeds the batch of the event and what the derivation rules derive
-    from it.  A batch reaches the clocked rules, the other rules any of
-    its events is a candidate for, and the terminal rules of every node
-    that detected something in it (every rule on the full scan).  The
-    derivation rules run first, in stratum order: one reached by the
-    batch so far is fed it, and what it derives joins the batch.  Each
-    ECA rule reached then gets the whole batch, in ascending rule
-    order, so firings come out as under the full scan.  The other rules
-    are skipped; their feeds would be no-ops.  [engine.rules_fed] and
+    from it.  {!handle_event} and {!advance} run one batch function:
+    each event of the batch is looked up in the sub-index once, and its
+    keys serve the derivation rules and the ECA rules alike.  A batch
+    reaches the clocked rules, the other rules any of its events is a
+    candidate for, and the terminal rules of every node that detected
+    something in it (every rule on the full scan).  The derivation
+    rules run first, in stratum order: one reached by the batch so far
+    is fed it, and what it derives joins the batch.  Each ECA rule
+    reached then gets the whole batch, in ascending rule order, so
+    firings come out as under the full scan.  The other rules are
+    skipped; their feeds would be no-ops.  [engine.rules_fed] and
     [engine.rules_skipped] count both sides.  A payload error of a
     derivation rule derives nothing and is reported in [errors]. *)
 
 val advance : t -> env:Condition.env -> ops:Action.ops -> Clock.time -> outcome
-(** Moves the engine clock: absence deadlines can fire rules.  Runs as
-    {!handle_event} on an empty batch, and advances only the clocked
+(** Moves the engine clock: absence deadlines can fire rules.  Runs the
+    batch of {!handle_event} on no event, and advances only the clocked
     rules: a bare clock advance cannot make any other rule fire.  A
     derivation rule is advanced before it is fed; an ECA rule is fed
     first, and its timer detections fire first.  Costs O(clocked +
@@ -137,23 +140,25 @@ val clocked_remote_resources : t -> ([ `Doc | `Rdf ] * string) list
     timers. *)
 
 val next_deadline : t -> Clock.time option
-(** Earliest pending absence deadline across the clocked ECA rules and
-    the derivation rules, the only ones that can hold one ([None] when
-    no timer is armed). *)
+(** Earliest pending absence deadline across the clocked rules, the
+    only ones that can hold one ([None] when no timer is armed). *)
 
 (** {1 Dispatch observability} *)
 
 val metrics : t -> Obs.Metrics.t
 (** The engine's registry.  Dispatch counters, kept on both paths:
-    [engine.dispatch_lookups] (event batches routed),
+    [engine.dispatch_lookups] (event batches routed; an {!advance}
+    counts none),
     [engine.rules_fed] ((rule, event) feeds; a terminal rule that is
     not clocked counts only in batches where its node detected
     something, so on a rule base of shared composite rules the count
-    tracks firings, not subscribers; a derivation rule, on {!advance}
-    too, counts the batch so far each time it is reached),
+    tracks firings, not subscribers; an ECA rule counts on event
+    batches only, a derivation rule, on {!advance} too, counts the
+    batch so far each time it is reached),
     [engine.rules_skipped] (rules a batch did not reach, always zero
-    under [~index:false]; a derivation rule counts on {!advance} too)
-    and [engine.rules_advanced] (rules {!advance} moved the clock of).
+    under [~index:false]; an ECA rule counts on event batches only, a
+    derivation rule on {!advance} too) and [engine.rules_advanced]
+    (rules {!advance} moved the clock of).
     [engine.events_seen] counts {!handle_event} calls and
     [engine.condition_evaluations] the rule branch conditions
     evaluated.  Pull cells sample what the inner engines own:
@@ -167,6 +172,7 @@ val metrics : t -> Obs.Metrics.t
     isolation.  The shared networks register their [alpha.*] and
     [beta.*] cells here ({!Alpha.metrics}, {!Beta.metrics}; absent
     under [~share:false]) and the sub-index its [subindex.*] cells
-    ({!Sub_index.metrics}; absent on the full scan).  When tracing is
+    ({!Sub_index.metrics}; absent on the full scan; [subindex.lookups]
+    counts one per event of a batch).  When tracing is
     on ({!Obs.set_enabled}), {!handle_event} also emits an [event]
     span with nested [detect] / [firing] spans per reacting rule. *)

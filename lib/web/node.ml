@@ -515,9 +515,12 @@ let recover t ctx =
          engine's composite-event state with inert capabilities (its
          effects already happened) and derived-event ids from the upper
          half of the 2^40-id lane, which the node never mints: replay
-         re-mints the pre-crash ids, and the alpha memo, keyed by event
-         id, outlives batches.  Then the id-lane counters and the firing
-         count are pinned to their snapshot values *)
+         re-mints the pre-crash ids, and the primed state keys on event
+         ids too — join instances are ordered and deduplicated by them,
+         and consumption filters them.  (The alpha and beta memos live
+         one batch, so they need no separate lane.)  Then the id-lane
+         counters and the firing count are pinned to their snapshot
+         values *)
       (match snap with
       | None -> ()
       | Some s ->

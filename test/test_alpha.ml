@@ -179,26 +179,26 @@ let test_sharing_and_fanout () =
   Alcotest.(check int) "no extra evaluation" 1 (s "alpha.evaluations");
   Alcotest.(check int) "no extra hit" 2 (s "alpha.hits")
 
-let test_memo_lru_retention () =
-  (* the memo is a bounded LRU: a burst of fresh event ids past the cap
-     evicts only the coldest entries.  The old reset-on-cap wipe
-     discarded the whole table, hot ids included — this pin fails on
-     that implementation *)
-  let net = Alpha.create () in
-  let m = Alpha.subscribe net (atom ~label:"t" pat_x) in
-  let hot = Event.make ~id:1000 ~occurred_at:1 ~label:"t" (Term.elem "p" [ Term.text "v" ]) in
-  ignore (m hot);
-  Alcotest.(check int) "hot id evaluated once" 1 (cells (Alpha.metrics net) "alpha.evaluations");
-  (* 100 distinct ids (cap is 64), touching the hot id every 10 *)
-  for i = 1 to 100 do
-    ignore (m (Event.make ~id:i ~occurred_at:2 ~label:"t" (Term.elem "p" [ Term.text "w" ])));
-    if i mod 10 = 0 then ignore (m hot)
-  done;
-  let evals = cells (Alpha.metrics net) "alpha.evaluations" in
-  Alcotest.(check int) "each fresh id evaluated exactly once" 101 evals;
-  ignore (m hot);
-  Alcotest.(check int) "hot id survived the burst" evals
-    (cells (Alpha.metrics net) "alpha.evaluations")
+let test_reused_id_evaluated_afresh () =
+  (* the memo lives one engine batch: a later batch that reuses an
+     event id with another payload is evaluated afresh, never served
+     the first payload's bindings *)
+  let rule = Eca.make ~name:"echo" ~on:(Event_query.on ~label:"t" pat_x) Action.Nop in
+  let engine = Engine.create_exn ~share:true (Ruleset.make ~rules:[ rule ] "p") in
+  let store, ops = harness () in
+  let env = Store.env store in
+  let bindings v =
+    let e = Event.make ~id:1000 ~occurred_at:1 ~label:"t" (Term.elem "p" [ Term.text v ]) in
+    List.map
+      (fun (f : Eca.firing) -> Option.map Term.to_string (Subst.find "X" f.Eca.bindings))
+      (Engine.handle_event engine ~env ~ops e).Engine.firings
+  in
+  let x = Alcotest.(list (option string)) in
+  Alcotest.check x "first payload" [ Some (Term.to_string (Term.text "v")) ] (bindings "v");
+  Alcotest.check x "second payload, same id" [ Some (Term.to_string (Term.text "w")) ]
+    (bindings "w");
+  Alcotest.(check int) "one evaluation per batch" 2
+    (cells (Engine.metrics engine) "alpha.evaluations")
 
 (* ---- engine wiring: ECA and derivation atoms share one network ---- *)
 
@@ -247,6 +247,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_one_node_per_atom;
       Alcotest.test_case "sharing key is the atom" `Quick test_sharing_key;
       Alcotest.test_case "sharing, memo and fanout accounting" `Quick test_sharing_and_fanout;
-      Alcotest.test_case "memo LRU keeps hot ids past the cap" `Quick test_memo_lru_retention;
+      Alcotest.test_case "a later batch re-evaluates a reused id" `Quick
+        test_reused_id_evaluated_afresh;
       Alcotest.test_case "engine shares ECA and derivation atoms" `Quick test_engine_alpha_stats;
     ] )

@@ -518,7 +518,63 @@ let test_engine_counters () =
     Alcotest.(check int) (name "rules advanced") advanced (counter engine "engine.rules_advanced")
   in
   check ~index:true ~atoms:3 ~fed:1 ~skipped:2 ~advanced:0;
-  check ~index:false ~atoms:0 ~fed:3 ~skipped:0 ~advanced:3
+  check ~index:false ~atoms:0 ~fed:3 ~skipped:0 ~advanced:3;
+  (* an advance on which a derivation rule's absence trigger derives a
+     [c] event that r-c matches: the derivation rule counts its feed and
+     its advance, the ECA rules count no feed or skip on an advance *)
+  let timeout =
+    Deductive_event.rule ~name:"timeout" ~derives:"c"
+      ~trigger:
+        (Event_query.absent
+           (Event_query.on ~label:"a" (Qterm.var "P"))
+           ~then_absent:(Event_query.on ~label:"z" (Qterm.var "P"))
+           ~for_:5)
+      ~payload:(Construct.cel "late" [ Construct.cvar "P" ])
+  in
+  let check_advance ~index ~fed ~skipped ~advanced =
+    let engine =
+      Engine.create_exn ~index
+        (Ruleset.make ~rules:[ rule "a"; rule "b"; rule "c" ] ~event_rules:[ timeout ] "s")
+    in
+    let store, ops = harness () in
+    let env = Store.env store in
+    ignore
+      (Engine.handle_event engine ~env ~ops (Event.make ~occurred_at:1 ~label:"a" (Term.text "x")));
+    let fired = Engine.advance engine ~env ~ops 10 in
+    let name s = Printf.sprintf "~index:%b, derived on advance: %s" index s in
+    Alcotest.(check (list string)) (name "r-c fires on the derived event") [ "r-c" ]
+      (List.map (fun (f : Eca.firing) -> f.Eca.rule) fired.Engine.firings);
+    Alcotest.(check int) (name "one lookup") 1 (counter engine "engine.dispatch_lookups");
+    Alcotest.(check int) (name "rules fed") fed (counter engine "engine.rules_fed");
+    Alcotest.(check int) (name "rules skipped") skipped (counter engine "engine.rules_skipped");
+    Alcotest.(check int) (name "rules advanced") advanced (counter engine "engine.rules_advanced")
+  in
+  check_advance ~index:true ~fed:2 ~skipped:2 ~advanced:1;
+  check_advance ~index:false ~fed:4 ~skipped:0 ~advanced:4
+
+(* A batch looks each of its events up in the sub-index once, and the
+   derivation rules and the ECA rules share the keys. *)
+let test_one_lookup_per_event () =
+  let on l v = Event_query.on ~label:l (Qterm.el l [ Qterm.pos (Qterm.var v) ]) in
+  let rule = Eca.make ~name:"r-b" ~on:(on "b" "Y") Action.Nop in
+  let derivation =
+    Deductive_event.rule ~name:"a-to-b" ~derives:"b" ~trigger:(on "a" "X")
+      ~payload:(Construct.cel "b" [ Construct.cvar "X" ])
+  in
+  let engine =
+    Engine.create_exn ~index:true (Ruleset.make ~rules:[ rule ] ~event_rules:[ derivation ] "s")
+  in
+  let store, ops = harness () in
+  let env = Store.env store in
+  let ev l = Event.make ~occurred_at:1 ~label:l (Term.elem l [ Term.text "x" ]) in
+  let out = Engine.handle_event engine ~env ~ops (ev "c") in
+  Alcotest.(check int) "nothing reacts to c" 0 (List.length out.Engine.firings);
+  Alcotest.(check int) "one lookup for a batch of one event" 1 (counter engine "subindex.lookups");
+  let out = Engine.handle_event engine ~env ~ops (ev "a") in
+  Alcotest.(check int) "r-b fires on the derived b" 1 (List.length out.Engine.firings);
+  Alcotest.(check int) "one lookup per event of the batch a, b" 3
+    (counter engine "subindex.lookups");
+  Alcotest.(check int) "two batches routed" 2 (counter engine "engine.dispatch_lookups")
 
 (* Engine work per advance follows the rules that observe time, not the
    rule count.  [~index:true] pins the fast path: the full scan advances
@@ -596,6 +652,7 @@ let suite =
       Alcotest.test_case "LRU bounds and counters" `Quick test_lru;
       Alcotest.test_case "store query-cache counters" `Quick test_store_counters;
       Alcotest.test_case "engine dispatch counters" `Quick test_engine_counters;
+      Alcotest.test_case "one sub-index lookup per batch event" `Quick test_one_lookup_per_event;
       Alcotest.test_case "advance touches only clocked rules" `Quick
         test_advance_scales_with_clocked_rules;
       Alcotest.test_case "load_ruleset keeps the engine horizon" `Quick
