@@ -247,7 +247,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_one_node_per_atom;
       Alcotest.test_case "sharing key is the atom" `Quick test_sharing_key;
       Alcotest.test_case "sharing, memo and fanout accounting" `Quick test_sharing_and_fanout;
-      Alcotest.test_case "a later batch re-evaluates a reused id" `Quick
-        test_reused_id_evaluated_afresh;
+      Alcotest.test_case "a reused id is evaluated afresh" `Quick test_reused_id_evaluated_afresh;
       Alcotest.test_case "engine shares ECA and derivation atoms" `Quick test_engine_alpha_stats;
     ] )
